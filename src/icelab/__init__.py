@@ -9,14 +9,14 @@ allows.
 """
 
 from .lattice import (HomogeneousWeights, InhomogeneousWeights,
-                      ModelObservables, boundary_correlation, efp_enum,
-                      partition_function, rcp_enum)
+                      boundary_correlation, efp_enum, partition_function,
+                      rcp_enum)
 from .report import CheckReport
 
 __version__ = "0.1.0"
 
 __all__ = [
     "CheckReport", "HomogeneousWeights", "InhomogeneousWeights",
-    "ModelObservables", "boundary_correlation", "efp_enum",
-    "partition_function", "rcp_enum", "__version__",
+    "boundary_correlation", "efp_enum", "partition_function", "rcp_enum",
+    "__version__",
 ]

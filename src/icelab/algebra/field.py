@@ -2,9 +2,9 @@
 
 Two kinds of scalar flow through the workbench:
 
-* exact rationals (``gmpy2.mpq``, falling back to ``fractions.Fraction``
-  when gmpy2 is unavailable) -- equality is decidable, arithmetic never
-  rounds, denominators stay reduced and positive;
+* exact rationals (``fractions.Fraction``, or ``gmpy2.mpq`` when the
+  optional gmpy2 extra is installed) -- equality is decidable, arithmetic
+  never rounds, denominators stay reduced and positive;
 * floats (``mpmath`` real/complex values) -- used for the trigonometric
   parametrization, where comparisons always carry an explicit relative
   tolerance and the working precision is set by the caller.
@@ -26,7 +26,7 @@ try:
     def rational(num, den=1):
         return _mpq(num, den)
 
-except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
+except ImportError:  # gmpy2 is an optional extra; Fraction is the default path
     def rational(num, den=1):
         return fractions.Fraction(num, den)
 
@@ -60,11 +60,6 @@ def rel_err(lhs, rhs) -> float:
     diff = abs(lf - rf)
     scale = max(abs(lf), abs(rf), mpmath.mpf("1e-300"))
     return float(diff / scale)
-
-
-def close(lhs, rhs, tol: float) -> bool:
-    """Tolerance comparison for the float backend; never silent equality."""
-    return rel_err(lhs, rhs) <= tol
 
 
 def float_precision(bits: int):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Sequence
 
-DEFAULT_MAX_SIZE = 7  # 7! = 5040 summands
+MAX_SIZE = 7  # 7! = 5040 summands
 
 
 @dataclass(frozen=True)
@@ -51,15 +51,15 @@ def signed_permutations(s: int) -> tuple:
     )
 
 
-def antisymmetrize(f: Callable, values: Sequence, max_size: int = DEFAULT_MAX_SIZE):
+def antisymmetrize(f: Callable, values: Sequence):
     """sum over sigma of sign(sigma) * f(*values permuted by sigma).
 
     Works for any value type with ring arithmetic: scalars, polynomials,
     or truncated series.
     """
     s = len(values)
-    if s > max_size:
-        raise ValueError(f"antisymmetrization over {s} > {max_size} variables")
+    if s > MAX_SIZE:
+        raise ValueError(f"antisymmetrization over {s} > {MAX_SIZE} variables")
     perms = signed_permutations(s)
     total = None
     for perm in perms:

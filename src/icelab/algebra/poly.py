@@ -20,7 +20,7 @@ from typing import Mapping, Sequence
 
 import mpmath
 
-from ..errors import NonzeroRemainder, PoleHit
+from ..errors import NonzeroRemainder
 from .field import ONE, ZERO, is_exact, qdiv
 
 
@@ -367,54 +367,14 @@ def vandermonde_value(points: Sequence):
 
 
 def det(matrix) -> object:
-    """Determinant of a square matrix of Polys or of field scalars.
-
-    Polynomial matrices go through fraction-free Bareiss elimination with
-    exact divisions; scalar matrices through Gaussian elimination (with
-    magnitude pivoting for floats).
-    """
+    """Determinant of a square matrix of field scalars, by Gaussian
+    elimination (with magnitude pivoting for floats)."""
     n = len(matrix)
     if any(len(row) != n for row in matrix):
         raise ValueError("matrix is not square")
     if n == 0:
         return ONE
-    if any(isinstance(x, Poly) for row in matrix for x in row):
-        variables: tuple = ()
-        for row in matrix:
-            for x in row:
-                if isinstance(x, Poly):
-                    variables = Poly.zero(variables)._union_vars(x)
-        m = [[(x if isinstance(x, Poly) else Poly.const(x)).aligned(variables)
-              for x in row] for row in matrix]
-        return _det_bareiss(m, variables)
-    return _det_field([list(row) for row in matrix])
-
-
-def _det_bareiss(m, variables):
-    n = len(m)
-    sign = 1
-    prev = Poly.const(ONE, variables)
-    for k in range(n - 1):
-        if m[k][k].is_zero():
-            for i in range(k + 1, n):
-                if not m[i][k].is_zero():
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return Poly.zero(variables)
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = m[i][j] * m[k][k] - m[i][k] * m[k][j]
-                m[i][j] = poly_exact_div(num, prev)
-            m[i][k] = Poly.zero(variables)
-        prev = m[k][k]
-    result = m[n - 1][n - 1]
-    return result if sign == 1 else -result
-
-
-def _det_field(m):
-    n = len(m)
+    m = [list(row) for row in matrix]
     exact = all(is_exact(x) for row in m for x in row)
     detval = ONE if exact else m[0][0] * 0 + 1
     sign_flip = False
@@ -447,40 +407,3 @@ def _det_field(m):
             factor = m[i][k] * inv
             m[i] = [a - factor * b for a, b in zip(m[i], m[k])]
     return -detval if sign_flip else detval
-
-
-class RationalFunction:
-    """Quotient of two polynomials; the denominator is never zero."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: Poly, den: Poly):
-        if den.is_zero():
-            raise ZeroDivisionError("zero denominator polynomial")
-        self.num = num
-        self.den = den
-
-    def eval(self, values: Mapping[str, object]):
-        d = self.den.eval(values)
-        if d == 0:
-            raise PoleHit(f"denominator vanishes at {dict(values)}")
-        return qdiv(self.num.eval(values), d) if is_exact(d) else self.num.eval(values) / d
-
-    def __add__(self, other):
-        if not isinstance(other, RationalFunction):
-            other = RationalFunction(Poly.const(other), Poly.const(ONE))
-        return RationalFunction(self.num * other.den + other.num * self.den,
-                                self.den * other.den)
-
-    def __mul__(self, other):
-        if not isinstance(other, RationalFunction):
-            other = RationalFunction(Poly.const(other), Poly.const(ONE))
-        return RationalFunction(self.num * other.num, self.den * other.den)
-
-    def __eq__(self, other):
-        if not isinstance(other, RationalFunction):
-            return self.num == self.den * other
-        return (self.num * other.den - other.num * self.den).is_zero()
-
-    def __repr__(self):
-        return f"RationalFunction({self.num!r}, {self.den!r})"

@@ -1,4 +1,4 @@
-"""Multivariate truncated power series (jets) and trigonometric jets.
+"""Multivariate truncated power series (jets).
 
 A ``SeriesRing`` fixes an ordered variable tuple together with a
 per-variable truncation order; its elements keep only exponents that are
@@ -7,21 +7,20 @@ borrows from higher orders of the same variable, a coefficient below the
 truncation is exact whenever the inputs are exact, which is what turns
 contour integration into coefficient extraction.
 
-Inversion requires a nonzero constant term.  ``series_sin``/``series_cos``
-evaluate trigonometric functions of a jet (float coefficients), which is
-how derivative towers of the weight ratio are produced without symbolic
-differentiation.
+Inversion requires a nonzero constant term.  ``series_sin`` evaluates the
+sine of a jet (float coefficients), which is how derivative towers of the
+weight ratio are produced without symbolic differentiation.
 """
 
 from __future__ import annotations
 
 import math
 from operator import add, le
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import mpmath
 
-from ..errors import PoleAtCenter, ZeroConstantTerm
+from ..errors import ZeroConstantTerm
 from .field import ONE, ZERO, qdiv
 from .poly import Poly
 
@@ -273,24 +272,12 @@ class TruncatedSeries:
         return f"TruncatedSeries({self.as_poly()!r} @ {self.ring!r})"
 
 
-def series_invert(f: TruncatedSeries) -> TruncatedSeries:
-    return f.invert()
-
-
 def series_sin(f: TruncatedSeries) -> TruncatedSeries:
     c = f.constant_term()
     tail = f - c
     sc, cc = mpmath.sin(c), mpmath.cos(c)
     s_tail, c_tail = _sin_cos_nilpotent(tail)
     return s_tail * cc + c_tail * sc
-
-
-def series_cos(f: TruncatedSeries) -> TruncatedSeries:
-    c = f.constant_term()
-    tail = f - c
-    sc, cc = mpmath.sin(c), mpmath.cos(c)
-    s_tail, c_tail = _sin_cos_nilpotent(tail)
-    return c_tail * cc - s_tail * sc
 
 
 def _sin_cos_nilpotent(t: TruncatedSeries):
@@ -309,22 +296,6 @@ def _sin_cos_nilpotent(t: TruncatedSeries):
         else:
             cos_acc = cos_acc + power * (coeff if k % 4 == 0 else -coeff)
     return sin_acc, cos_acc
-
-
-def taylor_jet(fn: Callable[[TruncatedSeries], TruncatedSeries],
-               center, order: int, var: str = "_jet") -> TruncatedSeries:
-    """Expand ``fn`` around ``center`` to the given order.
-
-    ``fn`` receives the jet ``center + var`` and must be built from
-    series-aware operations (arithmetic, series_sin, series_cos, invert).
-    The n-th derivative of fn at the center is n! times coefficient n.
-    """
-    ring = SeriesRing((var,), (order,))
-    x = ring.var(var) + center
-    try:
-        return fn(x)
-    except ZeroConstantTerm as exc:
-        raise PoleAtCenter(f"expression has a pole at {center}") from exc
 
 
 def jet_derivative(jet: TruncatedSeries, n: int):

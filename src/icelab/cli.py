@@ -162,41 +162,35 @@ class _Runner:
         return result
 
     def triples(self, rng: DeterministicRng, count: int):
-        """Weight triples for a suite: explicit overrides, else the
-        free-fermion triple followed by sampled ones."""
-        out = []
+        """(draw, (a, b, c)) weight triples for a suite: explicit overrides,
+        else the free-fermion triple followed by sampled ones."""
         if self.config.weight_triples:
-            for idx, (a, b, c) in enumerate(self.config.weight_triples):
-                out.append((idx, ("explicit", a, b, c)))
-            return out
+            return list(enumerate(self.config.weight_triples))
         if self.exact:
-            out.append((0, ("ff", rational(3), rational(4), rational(5))))
+            out = [(rational(3), rational(4), rational(5))]
             while len(out) < count:
                 w = weight_triple(rng)
-                out.append((len(out), ("sampled", w.a, w.b, w.c)))
+                out.append((w.a, w.b, w.c))
         else:
-            for idx in range(count):
+            out = []
+            for _ in range(count):
                 w = float_weight_triple(rng)
-                out.append((idx, ("sampled", w.a, w.b, w.c)))
-        return out
-
-    def make_weights(self, check_id, spec):
-        _, a, b, c = spec
-        return lattice.HomogeneousWeights(a, b, c)
+                out.append((w.a, w.b, w.c))
+        return list(enumerate(out))
 
 
 def _suite_partition(run: _Runner, rng: DeterministicRng):
     cfg = run.config
     for draw, spec in run.triples(rng, min(cfg.draws, 5)):
         def body(spec=spec, draw=draw):
-            w = run.make_weights("partition.transfer_vs_brute", spec)
+            w = lattice.HomogeneousWeights(*spec)
             for n in range(1, min(cfg.n_max, 4) + 1):
                 run.compare("partition.transfer_vs_brute",
-                            {"draw": draw, "n": n, "weights": spec[1:]},
+                            {"draw": draw, "n": n, "weights": spec},
                             lattice.partition_function(n, w),
                             lattice.brute_force_partition(n, w))
             run.compare("partition.fold_direction",
-                        {"draw": draw, "n": cfg.n_max, "weights": spec[1:]},
+                        {"draw": draw, "n": cfg.n_max, "weights": spec},
                         lattice.partition_function(cfg.n_max, w),
                         lattice.partition_function_bottom_up(cfg.n_max, w))
         run.guard("partition.transfer_vs_brute", {"draw": draw}, body)
@@ -244,15 +238,15 @@ def _suite_boundary(run: _Runner, rng: DeterministicRng):
     cfg = run.config
     for draw, spec in run.triples(rng, min(cfg.draws, 5)):
         def body(spec=spec, draw=draw):
-            w = run.make_weights("boundary.sum_rule", spec)
+            w = lattice.HomogeneousWeights(*spec)
             for n in range(1, cfg.n_max + 1):
                 total = sum(lattice.boundary_correlation(n, w, r)
                             for r in range(1, n + 1))
                 run.compare("boundary.sum_rule",
-                            {"draw": draw, "n": n, "weights": spec[1:]},
+                            {"draw": draw, "n": n, "weights": spec},
                             total, ONE)
             run.compare("boundary.single_site",
-                        {"draw": draw, "weights": spec[1:]},
+                        {"draw": draw, "weights": spec},
                         lattice.boundary_correlation(1, w, 1), ONE)
             for n in range(1, min(cfg.n_max, 5) + 1):
                 for s in range(n + 1):
@@ -278,7 +272,7 @@ def _suite_generating(run: _Runner, rng: DeterministicRng):
     n_top = min(cfg.n_max, 6)
     for draw, spec in run.triples(rng, min(cfg.draws, 5)):
         def body(spec=spec, draw=draw):
-            w = run.make_weights("generating.normalization", spec)
+            w = lattice.HomogeneousWeights(*spec)
             for n in range(1, cfg.n_max + 1):
                 gf = correlations.boundary_generating_fn(n, w)
                 run.compare("generating.normalization",
@@ -323,7 +317,7 @@ def _suite_efp(run: _Runner, rng: DeterministicRng):
     cfg = run.config
     for draw, spec in run.triples(rng, min(cfg.draws, 4)):
         def body(spec=spec, draw=draw):
-            w = run.make_weights("efp.quadrangle", spec)
+            w = lattice.HomogeneousWeights(*spec)
             for n in range(1, cfg.n_max + 1):
                 for r in range(1, n + 1):
                     for s in range(1, min(r, cfg.s_max) + 1):
@@ -385,7 +379,7 @@ def _suite_rcp(run: _Runner, rng: DeterministicRng):
     n_top = min(cfg.n_max, 4)
     for draw, spec in run.triples(rng, min(cfg.draws, 4)):
         def body(spec=spec, draw=draw):
-            w = run.make_weights("rcp.bottom_integral_vs_enum", spec)
+            w = lattice.HomogeneousWeights(*spec)
             for n in range(1, n_top + 1):
                 z = lattice.partition_function(n, w)
                 for s in range(n + 1):

@@ -13,10 +13,6 @@ class ZeroConstantTerm(IcelabError):
     """Series inversion requested for a series vanishing at its center."""
 
 
-class PoleAtCenter(IcelabError):
-    """A jet expansion hit a pole at the expansion point."""
-
-
 class PoleHit(IcelabError):
     """A denominator of a formula vanishes at the supplied parameters."""
 

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import mpmath
@@ -29,7 +28,7 @@ import mpmath
 from .algebra.field import ONE, is_exact, qdiv, rational
 from .algebra.perms import antisymmetrize, signed_permutations
 from .algebra.poly import Poly, det, poly_exact_div, vandermonde, vandermonde_value
-from .algebra.series import SeriesRing
+from .algebra.series import SeriesRing, TruncatedSeries
 from .correlations import sym_generating_poly, u_map
 from .errors import (CoincidingParameters, JetOrderInsufficient,
                      NonzeroRemainder, PoleHit)
@@ -38,37 +37,6 @@ from .lattice import HomogeneousWeights, partition_function
 from .report import CheckReport
 
 MAX_DOUBLE_ANTISYM = 6  # (s!)^2 terms; 6 -> 518400
-
-
-@dataclass(frozen=True)
-class AntisymContext:
-    """One admissible parameter draw for the antisymmetrization checks.
-
-    Validates the distinctness and pole conditions shared by the checks;
-    the exclusion-process fields, when present, satisfy p + q = 1 and
-    t^2 + tau t + 1 = 0 exactly.
-    """
-
-    s: int
-    tau: object = None
-    x: tuple = ()
-    y: tuple = ()
-    trig: tuple = ()     # (lambdas, nus, eta, zeta) when the draw is trigonometric
-    p: object = None
-    q: object = None
-    t: object = None
-
-    def __post_init__(self):
-        if self.s > 7:
-            raise ValueError("antisymmetrization size capped at 7")
-        for name, vals in (("x", self.x), ("y", self.y)):
-            if vals and len(set(vals)) != len(vals):
-                raise CoincidingParameters(f"{name} values must be pairwise distinct")
-        if self.p is not None:
-            if self.p + self.q != 1:
-                raise ValueError("exclusion-process rates must satisfy p + q = 1")
-            if self.t * self.t + self.tau * self.t + 1 != 0:
-                raise ValueError("t^2 + tau t + 1 = 0 violated")
 
 
 def rational_sqrt(value):
@@ -190,6 +158,13 @@ def cauchy_ratio(xs: Sequence, ys: Sequence, tau):
         raise ValueError("need equally many x and y values")
     if len(set(xs)) != s or len(set(ys)) != s:
         raise CoincidingParameters("cauchy_ratio needs distinct values in each set")
+    num = _cauchy_numerator(xs, ys, tau)
+    den = vandermonde_value(xs) * vandermonde_value(ys)
+    return qdiv(num, den) if is_exact(num) and is_exact(den) else num / den
+
+
+def _cauchy_numerator(xs: Sequence, ys: Sequence, tau):
+    """prod (x_j + y_k + tau x_j y_k) times det[psi(x_j, y_k)]."""
     pref = ONE
     for x in xs:
         for y in ys:
@@ -197,15 +172,15 @@ def cauchy_ratio(xs: Sequence, ys: Sequence, tau):
             if f == 0:
                 raise PoleHit(f"x + y + tau x y vanishes at ({x}, {y})")
             pref = pref * f
-    matrix = [[cauchy_kernel(x, y, tau) for y in ys] for x in xs]
-    num = pref * det(matrix)
-    den = vandermonde_value(xs) * vandermonde_value(ys)
-    return qdiv(num, den) if is_exact(num) and is_exact(den) else num / den
+    return pref * det([[cauchy_kernel(x, y, tau) for y in ys] for x in xs])
 
 
 def double_antisym_sum(xs: Sequence, ys: Sequence, tau):
     """The raw double antisymmetrization of the ordered product kernel
-    over both variable sets (no Vandermonde normalization)."""
+    over both variable sets (no Vandermonde normalization).
+
+    The values may be scalars or truncated series; a series denominator
+    1 - prod x_l y_l is inverted and must not vanish at its center."""
     s = len(xs)
     if s > MAX_DOUBLE_ANTISYM:
         raise ValueError(f"double antisymmetrization capped at s={MAX_DOUBLE_ANTISYM}")
@@ -221,11 +196,8 @@ def double_antisym_sum(xs: Sequence, ys: Sequence, tau):
             prod = ONE
             for j in range(s):
                 prod = prod * xo[j] * yo[j]
-                den = 1 - prod
-                if den == 0:
-                    raise PoleHit("1 - prod x_l y_l vanishes under a permutation")
                 term = term * (xo[j] * yo[j]) ** (s - 1 - j)
-                term = qdiv(term, den) if is_exact(den) else term / den
+                term = _divide_by_one_minus(term, prod)
             for j in range(s):
                 for k in range(j + 1, s):
                     term = term * px[sigma.images[j] - 1][sigma.images[k] - 1]
@@ -236,20 +208,26 @@ def double_antisym_sum(xs: Sequence, ys: Sequence, tau):
     return total
 
 
+def _divide_by_one_minus(term, prod):
+    """term / (1 - prod), refusing a denominator that vanishes (for a
+    series, at its center)."""
+    den = 1 - prod
+    if isinstance(den, TruncatedSeries):
+        if den.constant_term() == 0:
+            raise PoleHit("1 - prod x_l y_l vanishes at the series center")
+        return term * den.invert()
+    if den == 0:
+        raise PoleHit("1 - prod x_l y_l vanishes under a permutation")
+    return qdiv(term, den) if is_exact(den) else term / den
+
+
 def check_double_antisymmetrization(xs: Sequence, ys: Sequence, tau) -> CheckReport:
     """The double antisymmetrization identity: the (s!)^2-term sum equals
     prod (x_j + y_k + tau x_j y_k) times det[psi], exactly."""
     s = len(xs)
     _check_subset_products(xs, ys)
     lhs = double_antisym_sum(xs, ys, tau)
-    pref = ONE
-    for x in xs:
-        for y in ys:
-            f = x + y + tau * x * y
-            if f == 0:
-                raise PoleHit(f"x + y + tau x y vanishes at ({x}, {y})")
-            pref = pref * f
-    rhs = pref * det([[cauchy_kernel(x, y, tau) for y in ys] for x in xs])
+    rhs = _cauchy_numerator(xs, ys, tau)
     return CheckReport.from_comparison(
         "antisym.double_antisymmetrization",
         {"s": s, "xs": xs, "ys": ys, "tau": tau},
@@ -509,38 +487,14 @@ def check_degeneration_to_asep(p, zs: Sequence,
     tau = -t - qdiv(1, t)
     if t * t + tau * t + 1 != 0:
         raise ValueError("t^2 + tau t + 1 = 0 violated")
-    ctx = AntisymContext(s=s, tau=tau, x=tuple(t * z for z in zs),
-                         p=p, q=q, t=t)
 
     d = s * (s - 1) // 2
     order = d + extra_order
     evars = tuple(f"e{j}" for j in range(1, s + 1))
     ring = SeriesRing(evars, (order,) * s)
-    xs = list(ctx.x)
+    xs = [t * z for z in zs]
     ys = [(ring.var(v) + 1) * qdiv(1, t) for v in evars]
-
-    perms = signed_permutations(s)
-    total = None
-    for sigma in perms:
-        xo = sigma.apply(xs)
-        for rho in perms:
-            yo = rho.apply(ys)
-            term = ring.one()
-            prod = ring.one()
-            for j in range(s):
-                prod = prod * yo[j] * xo[j]
-                den = 1 - prod
-                if den.constant_term() == 0:
-                    raise PoleHit("1 - prod x_l y_l vanishes at e = 0")
-                term = term * (yo[j] ** (s - 1 - j) * xo[j] ** (s - 1 - j))
-                term = term * den.invert()
-            for j in range(s):
-                for k in range(j + 1, s):
-                    term = term * (xo[j] * xo[k] + tau * xo[k] + 1)
-                    term = term * (yo[j] * yo[k] + tau * yo[k] + 1)
-            if sigma.sign * rho.sign < 0:
-                term = -term
-            total = term if total is None else total + term
+    total = double_antisym_sum(xs, ys, tau)
     # the limit is normalized by prod_{j<k} (e_j - e_k); vandermonde_limit
     # divides by the reversed orientation
     limit = vandermonde_limit(total.as_poly(), evars)

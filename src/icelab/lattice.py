@@ -202,20 +202,16 @@ def row_transfer_weight(top: RowState, bottom: RowState, weights: WeightSpec,
     return weight
 
 
-def _up_count_after_row(n: int, k: int) -> int:
-    # DWBC forces exactly k up arrows below horizontal line k
-    return k
-
-
 @lru_cache(maxsize=None)
 def forward_vectors(n: int, weights: WeightSpec) -> tuple:
     """vec[k] maps each row state below line k to the weight of folding
-    rows 1..k down from the all-down top boundary."""
+    rows 1..k down from the all-down top boundary.  DWBC forces exactly k
+    up arrows below line k, so only that flux sector is folded."""
     vecs = [{all_down(n): 1 if weights.exact else mpmath.mpf(1)}]
     for k in range(1, n + 1):
         prev = vecs[-1]
         nxt = {}
-        for below in flux_sector_states(n, _up_count_after_row(n, k)):
+        for below in flux_sector_states(n, k):
             total = None
             for above, w_above in prev.items():
                 w = row_transfer_weight(above, below, weights, k)
@@ -238,7 +234,7 @@ def backward_vectors(n: int, weights: WeightSpec) -> tuple:
     for k in range(n - 1, -1, -1):
         nxt = vecs[k + 1]
         cur = {}
-        for above in flux_sector_states(n, _up_count_after_row(n, k)):
+        for above in flux_sector_states(n, k):
             total = None
             for below, w_below in nxt.items():
                 w = row_transfer_weight(above, below, weights, k + 1)
@@ -416,36 +412,3 @@ def brute_force_rcp(n: int, s: int, positions: Sequence[int], weights: WeightSpe
         if vert[s] == target:
             matched = matched + w
     return _ratio(matched, total)
-
-
-# -- bundled observables ----------------------------------------------
-
-
-@dataclass(frozen=True)
-class ModelObservables:
-    """Everything the oracle knows about one (N, weights) model."""
-
-    n: int
-    z: object
-    boundary: dict       # r -> H_N^{(r)}
-    efp: dict            # (r, s) -> F_N^{(r,s)}
-    rcp: dict            # (s, positions) -> H_{N,s}^{(positions)}
-    z_top: dict          # (s, positions) -> top partition function
-    z_bot: dict          # (s, positions) -> bottom partition function
-
-    @staticmethod
-    def compute(n: int, weights: WeightSpec) -> "ModelObservables":
-        z = partition_function(n, weights)
-        boundary = {r: boundary_correlation(n, weights, r) for r in range(1, n + 1)}
-        rcp = {}
-        ztop = {}
-        zbot = {}
-        for s in range(n + 1):
-            for state in flux_sector_states(n, s):
-                pos = positions_of(state)
-                ztop[(s, pos)] = z_top_enum(n, s, pos, weights)
-                zbot[(s, pos)] = z_bot_enum(n, s, pos, weights)
-                rcp[(s, pos)] = rcp_enum(n, s, pos, weights)
-        efp = {(r, s): efp_enum(n, r, s, weights)
-               for r in range(1, n + 1) for s in range(n + 1)}
-        return ModelObservables(n, z, boundary, efp, rcp, ztop, zbot)

@@ -75,8 +75,10 @@ class CheckReport:
             discrepancy=f"{type(exc).__name__}: {exc}",
         )
 
-    def to_json_obj(self, include_timing: bool = False) -> dict:
-        obj = {
+    def to_json_obj(self) -> dict:
+        """The report record without its timing, so that the same
+        configuration and seed give a byte-identical report."""
+        return {
             "check_id": self.check_id,
             "params": self.params,
             "status": self.status,
@@ -84,6 +86,3 @@ class CheckReport:
             "rhs": self.rhs,
             "discrepancy": self.discrepancy,
         }
-        if include_timing:
-            obj["elapsed_ms"] = self.elapsed_ms
-        return obj

@@ -7,7 +7,7 @@ import pytest
 
 from icelab.algebra import Poly, SeriesRing, poly_exact_div, rational as Q
 from icelab.errors import CoincidingParameters, NonzeroRemainder, PoleHit
-from icelab.identities import (AntisymContext, cauchy_kernel, cauchy_ratio,
+from icelab.identities import (cauchy_kernel, cauchy_ratio,
                                cauchy_ratio_confluent,
                                cauchy_ratio_homogeneous,
                                check_asep_antisymmetrization,
@@ -377,16 +377,52 @@ def test_degeneration_stability_under_extra_order():
     assert base.lhs == more.lhs
 
 
-# -- context bundle ----------------------------------------------------------------
+def _series_double_sum_oracle(xs, ys, tau, ring):
+    """The (s!)^2 sum written out term by term on series, as the
+    degeneration check computed it before it shared the scalar kernel."""
+    s = len(xs)
+    total = ring.zero()
+    for xo in itertools.permutations(range(s)):
+        for yo in itertools.permutations(range(s)):
+            sign = 1
+            for perm in (xo, yo):
+                for i, j in itertools.combinations(range(s), 2):
+                    if perm[i] > perm[j]:
+                        sign = -sign
+            term = ring.one()
+            prod = ring.one()
+            for j in range(s):
+                x, y = xs[xo[j]], ys[yo[j]]
+                prod = prod * y * x
+                term = term * (y ** (s - 1 - j) * x ** (s - 1 - j))
+                term = term * (1 - prod).invert()
+            for j, k in itertools.combinations(range(s), 2):
+                x_j, x_k, y_j, y_k = xs[xo[j]], xs[xo[k]], ys[yo[j]], ys[yo[k]]
+                term = term * (x_j * x_k + tau * x_k + 1) * (y_j * y_k + tau * y_k + 1)
+            total = total + term * sign
+    return total
 
 
-def test_antisym_context_validations():
+def test_double_sum_on_series_matches_term_by_term_oracle():
+    t, tau = Q(2), Q(-5, 2)
+    for zs in ((Q(1, 3),), (Q(1, 3), Q(1, 7)), (Q(1, 3), Q(1, 7), Q(2, 5))):
+        s = len(zs)
+        evars = tuple(f"e{j}" for j in range(1, s + 1))
+        ring = SeriesRing(evars, (s * (s - 1) // 2 + 1,) * s)
+        xs = [t * z for z in zs]
+        ys = [(ring.var(v) + 1) / t for v in evars]
+        got = double_antisym_sum(xs, ys, tau)
+        assert got.terms == _series_double_sum_oracle(xs, ys, tau, ring).terms
+        # at the series center the kernel is the scalar double sum
+        assert got.constant_term() == double_antisym_sum(xs, [1 / t] * s, tau)
+
+
+def test_degeneration_guards_its_center_and_repeated_points():
+    # x_1 y_1 = z_1 at e = 0, so z_1 = 1 puts a pole on the series center
+    with pytest.raises(PoleHit, match="series center"):
+        check_degeneration_to_asep(Q(1, 5), (Q(1),))
     with pytest.raises(CoincidingParameters):
-        AntisymContext(s=2, x=(Q(1), Q(1)))
-    with pytest.raises(ValueError):
-        AntisymContext(s=2, tau=Q(-5, 2), p=Q(1, 2), q=Q(1, 3), t=Q(1))
-    ctx = AntisymContext(s=2, tau=Q(-5, 2), p=Q(1, 5), q=Q(4, 5), t=Q(2))
-    assert ctx.t * ctx.t + ctx.tau * ctx.t + 1 == 0
+        check_degeneration_to_asep(Q(1, 5), (Q(1, 3), Q(1, 3)))
 
 
 def test_rational_sqrt():

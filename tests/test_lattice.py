@@ -9,7 +9,7 @@ from icelab.algebra import rational as Q
 from icelab.errors import (CoincidingParameters, DegenerateWeights,
                            PositionsOutOfRange, WidthMismatch)
 from icelab.lattice import (HomogeneousWeights, InhomogeneousWeights,
-                            ModelObservables, VERTEX_TYPE, all_down, all_up,
+                            VERTEX_TYPE, all_down, all_up,
                             boundary_correlation, brute_force_partition,
                             brute_force_rcp, dwbc_configurations, efp_enum,
                             flux_sector_states, partition_function,
@@ -243,15 +243,3 @@ def test_inhomogeneous_reduces_to_homogeneous_weights():
     z_hom = partition_function(3, w)
     z_inh = partition_function(3, spread)
     assert abs(z_hom - z_inh) / abs(z_hom) < mpmath.mpf("1e-7")
-
-
-def test_model_observables_bundle():
-    obs = ModelObservables.compute(3, FF)
-    assert obs.z == partition_function(3, FF)
-    assert sum(obs.boundary.values()) == 1
-    assert obs.efp[(3, 2)] == 1
-    for s in range(4):
-        states = [positions_of(st) for st in flux_sector_states(3, s)]
-        assert sum(obs.rcp[(s, pos)] for pos in states) == 1
-        assert sum(obs.z_top[(s, pos)] * obs.z_bot[(s, pos)]
-                   for pos in states) == obs.z
