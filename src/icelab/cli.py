@@ -57,6 +57,9 @@ class SuiteConfig:
             raise ConfigError("tolerance must be positive")
         if self.backend not in ("exact", "float"):
             raise ConfigError(f"unknown backend {self.backend!r}")
+        if self.backend == "float" and self.weight_triples:
+            raise ConfigError("explicit weight triples are exact; "
+                              "they cannot run on the float backend")
         if self.precision_bits < 24:
             raise ConfigError("precision must be at least 24 bits")
         unknown = [s for s in self.suites if s not in SUITES]
@@ -166,16 +169,11 @@ class _Runner:
         else the free-fermion triple followed by sampled ones."""
         if self.config.weight_triples:
             return list(enumerate(self.config.weight_triples))
-        if self.exact:
-            out = [(rational(3), rational(4), rational(5))]
-            while len(out) < count:
-                w = weight_triple(rng)
-                out.append((w.a, w.b, w.c))
-        else:
-            out = []
-            for _ in range(count):
-                w = float_weight_triple(rng)
-                out.append((w.a, w.b, w.c))
+        out = [(rational(3), rational(4), rational(5))] if self.exact else []
+        sample = weight_triple if self.exact else float_weight_triple
+        while len(out) < count:
+            w = sample(rng)
+            out.append((w.a, w.b, w.c))
         return list(enumerate(out))
 
 

@@ -59,7 +59,11 @@ class TrigWeights:
 
 def ik_inhomogeneous(lambdas: Sequence, nus: Sequence, eta):
     """The N x N determinant representation of Z_N, evaluated as written:
-    prod(a b) / (prod d(lam_k, lam_j) * prod d(nu_j, nu_k)) * det[phi]."""
+    prod(a b) / (prod d(lam_k, lam_j) * prod d(nu_j, nu_k)) * det[phi].
+
+    det[phi] cancels down to the size of the sine-difference product, so
+    it is evaluated with as many extra bits as that product is small, and
+    the result is rounded back to the working precision."""
     n = len(lambdas)
     if len(nus) != n:
         raise CoincidingParameters("need as many nus as lambdas")
@@ -72,6 +76,7 @@ def ik_inhomogeneous(lambdas: Sequence, nus: Sequence, eta):
             if a == 0 or b == 0:
                 raise PoleInPhi(f"weight vanishes at ({lam}, {nu})")
             pref *= a * b
+    spread = mpmath.mpf(1)
     for j in range(n):
         for k in range(j + 1, n):
             dl = w.d(lambdas[k], lambdas[j])
@@ -80,12 +85,14 @@ def ik_inhomogeneous(lambdas: Sequence, nus: Sequence, eta):
                 raise CoincidingParameters(f"lambda_{j+1} == lambda_{k+1}")
             if dn == 0:
                 raise CoincidingParameters(f"nu_{j+1} == nu_{k+1}")
-            pref /= dl * dn
-    matrix = mpmath.matrix(n, n)
-    for j in range(n):
-        for k in range(n):
-            matrix[j, k] = w.phi(lambdas[j], nus[k])
-    return pref * mpmath.det(matrix)
+            spread *= dl * dn
+    with mpmath.extraprec(-int(mpmath.floor(mpmath.log(abs(spread), 2)))):
+        matrix = mpmath.matrix(n, n)
+        for j in range(n):
+            for k in range(n):
+                matrix[j, k] = w.phi(lambdas[j], nus[k])
+        value = pref / spread * mpmath.det(matrix)
+    return +value
 
 
 def phi_jet(lam, eta, order: int):

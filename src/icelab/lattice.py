@@ -26,7 +26,7 @@ pairs are the c vertices.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterator, Sequence, Union
 
@@ -51,15 +51,21 @@ VERTEX_TYPE = {
 
 @dataclass(frozen=True)
 class HomogeneousWeights:
-    """Weights (a, b, c), either exact rationals or mpmath floats."""
+    """Weights (a, b, c), either exact rationals or mpmath floats.
+
+    ``exact`` takes part in equality and hashing, so that float weights
+    never share a cache entry with the equal exact ones."""
 
     a: object
     b: object
     c: object
+    exact: bool = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.a == 0 or self.b == 0 or self.c == 0:
             raise DegenerateWeights(f"weights must be nonzero, got {self}")
+        exact = is_exact(self.a) and is_exact(self.b) and is_exact(self.c)
+        object.__setattr__(self, "exact", exact)
 
     @property
     def t(self):
@@ -70,10 +76,6 @@ class HomogeneousWeights:
         num = self.a**2 + self.b**2 - self.c**2
         den = 2 * self.a * self.b
         return qdiv(num, den) if self.exact else num / den
-
-    @property
-    def exact(self) -> bool:
-        return is_exact(self.a) and is_exact(self.b) and is_exact(self.c)
 
     def vertex(self, letter: str, row: int, position: int):
         return getattr(self, letter)

@@ -135,9 +135,10 @@ def trig_parameters(rng: DeterministicRng, s: int, *, with_zeta: bool = False):
         zeta = rng.uniform(mpmath.mpf("0.1"), mpmath.mpf("0.5"))
         return lams, nus, eta, zeta
 
-    # a pair of lambdas at separation delta costs roughly eps/delta digits
-    # in the determinant; 1e-2 keeps several simultaneous near-collisions
-    # comfortably inside the 1e-8 tolerance at 53 bits
+    # the separation keeps every parameter difference away from zero, but
+    # it does not bound the cancellation in the determinant: det[phi]
+    # shrinks to the product of all sine differences, up to 20 bits below
+    # its entries at s = 5, and ik_inhomogeneous adds those bits itself
     separation = mpmath.mpf("1e-2")
 
     def accept(parms):

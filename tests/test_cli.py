@@ -58,6 +58,16 @@ def test_parse_weight_triples():
         parse_config(["--weights", "3,4"], env={})
 
 
+def test_float_backend_rejects_explicit_weights(capsys):
+    with pytest.raises(ConfigError):
+        parse_config(["--backend", "float", "--weights", "3,4,5"], env={})
+    with pytest.raises(ConfigError):
+        SuiteConfig(backend="float", weight_triples=((3, 4, 5),)).validate()
+    assert main(["--suite", "boundary", "--backend", "float",
+                 "--weights", "3,4,5"]) == 2
+    assert "float backend" in capsys.readouterr().err
+
+
 def test_run_small_exact_all_pass():
     cfg = SuiteConfig(suites=("boundary", "rcp"), n_max=2, s_max=2, draws=1,
                       seed=3)

@@ -378,8 +378,9 @@ def test_degeneration_stability_under_extra_order():
 
 
 def _series_double_sum_oracle(xs, ys, tau, ring):
-    """The (s!)^2 sum written out term by term on series, as the
-    degeneration check computed it before it shared the scalar kernel."""
+    """The (s!)^2 sum written out term by term on series: the literal
+    definition that the shared kernel must reproduce coefficient by
+    coefficient."""
     s = len(xs)
     total = ring.zero()
     for xo in itertools.permutations(range(s)):

@@ -3,6 +3,7 @@
 import mpmath
 import pytest
 
+from icelab.cli import SuiteConfig, run, summarize
 from icelab.errors import CoincidingParameters, PoleInPhi
 from icelab.izergin_korepin import (TrigWeights, ik_homogeneous,
                                     ik_inhomogeneous,
@@ -109,3 +110,11 @@ def test_partial_inhomogeneous_relation_trivial_and_random():
         for n in (2, 3):
             report = partial_inhomogeneous_relation(lams[:n], lam0, eta)
             assert report.passed, report
+
+
+def test_ill_conditioned_draw_meets_the_transfer_fold():
+    # the draws of seed 204 make det[phi] cancel by about 20 bits; at the
+    # working precision alone the determinant missed the fold by 6.6e-7
+    code, reports = run(SuiteConfig(suites=("partition",), n_max=5, s_max=4,
+                                    draws=4, seed=204))
+    assert code == 0, summarize(reports)

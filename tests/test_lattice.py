@@ -12,7 +12,8 @@ from icelab.lattice import (HomogeneousWeights, InhomogeneousWeights,
                             VERTEX_TYPE, all_down, all_up,
                             boundary_correlation, brute_force_partition,
                             brute_force_rcp, dwbc_configurations, efp_enum,
-                            flux_sector_states, partition_function,
+                            flux_sector_states, forward_vectors,
+                            partition_function,
                             partition_function_bottom_up, positions_of,
                             rcp_enum, row_transfer_weight,
                             state_from_positions, weights_from_trig,
@@ -243,3 +244,12 @@ def test_inhomogeneous_reduces_to_homogeneous_weights():
     z_hom = partition_function(3, w)
     z_inh = partition_function(3, spread)
     assert abs(z_hom - z_inh) / abs(z_hom) < mpmath.mpf("1e-7")
+
+
+def test_float_weights_never_share_a_cache_entry_with_exact_ones():
+    floats = HomogeneousWeights(mpmath.mpf(3), mpmath.mpf(4), mpmath.mpf(5))
+    assert floats != FF and hash(floats) != hash(FF)
+    forward_vectors.cache_clear()
+    assert isinstance(partition_function(3, floats), mpmath.mpf)
+    z = partition_function(3, FF)
+    assert z == 1953125 and not isinstance(z, mpmath.mpf)
