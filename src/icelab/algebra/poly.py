@@ -6,6 +6,20 @@ stored.  Coefficients may be ints, exact rationals, or mpmath floats;
 binary operations align variable sets by name, so polynomials built in
 different contexts combine transparently.
 
+``sparse_product`` is the one multiply loop of the algebra layer, shared
+by ``Poly`` and ``TruncatedSeries``.  It works on packed keys: a
+``Packing`` stores an exponent tuple as one int, one bit field per
+variable, so that adding two keys adds the exponent tuples.  Each field
+is wide enough for the sum of two exponents plus one guard bit.  A
+truncated series biases its first operand's keys so that a field's guard
+bit is set exactly when the sum exceeds that variable's order, which
+makes the truncation test ``(k1 + k2) & guard``; a polynomial is never
+truncated and uses guard 0.  When every coefficient is an int or a
+``Fraction``, the loop multiplies integer numerators over one common
+denominator per operand, and each output term is reduced to a rational
+once (a plain int when it is integral).  mpmath coefficients run through
+the same loop with their own arithmetic.
+
 ``poly_exact_div`` performs long division that is required to terminate
 with remainder zero (Vandermonde divisions of antisymmetric numerators);
 a nonzero remainder signals a violated identity upstream and raises.
@@ -15,13 +29,119 @@ from __future__ import annotations
 
 import itertools
 import math
-from operator import add
+from fractions import Fraction
+from operator import lshift
 from typing import Mapping, Sequence
 
 import mpmath
 
 from ..errors import NonzeroRemainder
 from .field import ONE, ZERO, is_exact, qdiv
+
+
+# -- the sparse multiply kernel ------------------------------------------
+
+
+class Packing:
+    """Exponent tuples packed into ints, one bit field per variable.
+
+    ``caps[i]`` bounds what field i must hold: the truncation order when
+    ``truncate`` is set, else the largest sum of two exponents.  A field
+    is ``cap.bit_length() + 1`` bits wide, so its top bit stays clear of
+    every sum and no field carries into the next.  Under truncation that
+    top bit is the guard bit: ``bias`` puts 2^(w-1) - 1 - cap into each
+    field of one operand's keys, which sets the guard bit of a summed key
+    exactly when e1 + e2 > cap."""
+
+    __slots__ = ("shifts", "masks", "bias", "guard")
+
+    def __init__(self, caps: Sequence[int], truncate: bool = False):
+        shifts, masks, bias, guard, pos = [], [], 0, 0, 0
+        for cap in caps:
+            width = cap.bit_length() + 1
+            top = 1 << (width - 1)
+            shifts.append(pos)
+            masks.append(top - 1)
+            if truncate:
+                guard |= top << pos
+                bias |= (top - 1 - cap) << pos
+            pos += width
+        self.shifts = tuple(shifts)
+        self.masks = tuple(masks)
+        self.bias = bias
+        self.guard = guard
+
+    def keys(self, exponents, positions: Sequence[int] | None = None,
+             biased: bool = False) -> list:
+        """Packed keys of exponent tuples whose entry j belongs to field
+        ``positions[j]`` (default: field j), with the bias if asked."""
+        shifts = self.shifts if positions is None else [self.shifts[p] for p in positions]
+        base = self.bias if biased else 0
+        return [sum(map(lshift, e, shifts)) + base for e in exponents]
+
+    def unpack(self, key: int) -> tuple:
+        """The exponent tuple of a product key (one biased operand)."""
+        key -= self.bias
+        return tuple([(key >> s) & m for s, m in zip(self.shifts, self.masks)])
+
+
+def exact_numerators(a: Mapping, b: Mapping) -> tuple:
+    """(den, a_coeffs, b_coeffs) for multiplying the coefficients of two
+    term dicts.  When every coefficient is an int or a Fraction, each
+    operand is scaled to integer numerators over the lcm of its
+    denominators, and den is the product of the two lcms; otherwise den
+    is 0 and the coefficients are returned as they are."""
+    da = _common_denominator(a.values())
+    db = _common_denominator(b.values()) if da else 0
+    if not db:
+        return 0, list(a.values()), list(b.values())
+    return (da * db,
+            [c.numerator * (da // c.denominator) for c in a.values()],
+            [c.numerator * (db // c.denominator) for c in b.values()])
+
+
+_EXACT_TYPES = {int, Fraction}
+
+
+def _common_denominator(coeffs) -> int:
+    """The lcm of the denominators, or 0 unless every coefficient is an
+    int or a Fraction (bool and subclasses take the general path)."""
+    if not set(map(type, coeffs)) <= _EXACT_TYPES:
+        return 0
+    return math.lcm(*{c.denominator for c in coeffs})
+
+
+def sparse_product(a: list, b: list, guard: int, out: dict) -> None:
+    """Add c1 * c2 to ``out[k1 + k2]`` for every (k1, c1) in ``a`` and
+    (k2, c2) in ``b`` whose key sum has no guard bit set.
+
+    The shorter list runs in the outer loop (``b`` when the lengths tie),
+    and a sum that reaches zero leaves ``out``, so every output term adds
+    its products in the order of the tuple loop it replaces and ``out``
+    keeps that loop's insertion order: float results are bit-identical to
+    it, and ``out`` holds no zero."""
+    if len(a) < len(b):
+        a, b = b, a
+    get, pop = out.get, out.pop
+    for k2, c2 in b:
+        for k1, c1 in a:
+            k = k1 + k2
+            if k & guard:
+                continue
+            s = get(k, 0) + c1 * c2
+            if s:
+                out[k] = s
+            else:
+                pop(k, None)
+
+
+def unpacked_terms(out: dict, den: int, packing: Packing) -> dict:
+    """Product terms by exponent tuple; integer numerators over ``den``
+    are reduced to rationals (ints when integral)."""
+    unpack = packing.unpack
+    if den > 1:
+        return {unpack(k): qdiv(n, den) for k, n in out.items()}
+    return {unpack(k): c for k, c in out.items()}
 
 
 class Poly:
@@ -32,6 +152,14 @@ class Poly:
     def __init__(self, variables: Sequence[str], terms: Mapping[tuple, object]):
         self.vars = tuple(variables)
         self.terms = {e: c for e, c in terms.items() if c != 0}
+
+    @classmethod
+    def _of(cls, variables: tuple, terms: dict) -> "Poly":
+        """Wrap a dict that holds no zero coefficient, without copying."""
+        p = object.__new__(cls)
+        p.vars = variables
+        p.terms = terms
+        return p
 
     # -- constructors -------------------------------------------------
 
@@ -135,20 +263,16 @@ class Poly:
                 return Poly.zero(self.vars)
             return Poly(self.vars, {e: c * other for e, c in self.terms.items()})
         variables = self._union_vars(other)
-        a, b = self.aligned(variables), other.aligned(variables)
-        if len(a.terms) < len(b.terms):
-            a, b = b, a
-        terms = {}
-        get = terms.get
-        for e2, c2 in b.terms.items():
-            for e1, c1 in a.terms.items():
-                e = tuple(map(add, e1, e2))
-                s = get(e, 0) + c1 * c2
-                if s == 0:
-                    terms.pop(e, None)
-                else:
-                    terms[e] = s
-        return Poly(variables, terms)
+        a, b = self.terms, other.terms
+        cap = _max_exponent(self) + _max_exponent(other)
+        packing = Packing((cap,) * len(variables))
+        den, ca, cb = exact_numerators(a, b)
+        out: dict = {}
+        sparse_product(
+            list(zip(packing.keys(a, [variables.index(v) for v in self.vars]), ca)),
+            list(zip(packing.keys(b, [variables.index(v) for v in other.vars]), cb)),
+            0, out)
+        return Poly._of(variables, unpacked_terms(out, den, packing))
 
     __rmul__ = __mul__
 
@@ -292,6 +416,10 @@ class Poly:
                 if abs(mpmath.mpf(1) * other - mpmath.mpf(1) * c) > tolerance * scale:
                     return False
         return True
+
+
+def _max_exponent(p: Poly) -> int:
+    return max(map(max, p.terms), default=0) if p.vars else 0
 
 
 def poly_max_rel_err(a: Poly, b: Poly) -> float:

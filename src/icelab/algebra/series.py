@@ -7,6 +7,16 @@ borrows from higher orders of the same variable, a coefficient below the
 truncation is exact whenever the inputs are exact, which is what turns
 contour integration into coefficient extraction.
 
+Products run through ``poly.sparse_product`` on packed keys.  Each ring
+builds its ``Packing`` once: field i is one bit wider than order i needs,
+and the left operand's keys carry a bias of 2^(w-1) - 1 - order in each
+field, so a product key has a field's top (guard) bit set exactly when
+the exponent sum exceeds that order, and the box test of a pair is
+``(k1 + k2) & guard``.  Exact coefficients are multiplied as integer
+numerators over one common denominator per operand and reduced once per
+output term.  Terms always lie inside the box; the constructor drops any
+that do not.
+
 Inversion requires a nonzero constant term.  ``series_sin`` evaluates the
 sine of a jet (float coefficients), which is how derivative towers of the
 weight ratio are produced without symbolic differentiation.
@@ -15,20 +25,21 @@ weight ratio are produced without symbolic differentiation.
 from __future__ import annotations
 
 import math
-from operator import add, le
+from operator import le
 from typing import Mapping, Sequence
 
 import mpmath
 
 from ..errors import ZeroConstantTerm
 from .field import ONE, ZERO, qdiv
-from .poly import Poly
+from .poly import (Packing, Poly, exact_numerators, sparse_product,
+                   unpacked_terms)
 
 
 class SeriesRing:
     """A fixed variable tuple with per-variable truncation orders."""
 
-    __slots__ = ("vars", "orders", "_index", "_drop_cache")
+    __slots__ = ("vars", "orders", "packing", "_index", "_drop_cache")
 
     def __init__(self, variables: Sequence[str], orders: Sequence[int]):
         if len(variables) != len(orders):
@@ -37,6 +48,7 @@ class SeriesRing:
             raise ValueError("truncation orders must be nonnegative")
         self.vars = tuple(variables)
         self.orders = tuple(orders)
+        self.packing = Packing(self.orders, truncate=True)
         self._index = {v: i for i, v in enumerate(self.vars)}
         self._drop_cache: dict[str, SeriesRing] = {}
 
@@ -62,7 +74,7 @@ class SeriesRing:
     # -- element constructors -----------------------------------------
 
     def zero(self) -> "TruncatedSeries":
-        return TruncatedSeries(self, {})
+        return TruncatedSeries._of(self, {})
 
     def one(self) -> "TruncatedSeries":
         return self.const(ONE)
@@ -70,7 +82,7 @@ class SeriesRing:
     def const(self, value) -> "TruncatedSeries":
         if value == 0:
             return self.zero()
-        return TruncatedSeries(self, {(0,) * len(self.vars): value})
+        return TruncatedSeries._of(self, {(0,) * len(self.vars): value})
 
     def var(self, name: str) -> "TruncatedSeries":
         return self.from_poly(Poly.variable(name))
@@ -98,7 +110,7 @@ class SeriesRing:
                     terms.pop(key, None)
                 else:
                     terms[key] = s
-        return TruncatedSeries(self, terms)
+        return TruncatedSeries._of(self, terms)
 
 
 class TruncatedSeries:
@@ -106,7 +118,17 @@ class TruncatedSeries:
 
     def __init__(self, ring: SeriesRing, terms: Mapping[tuple, object]):
         self.ring = ring
-        self.terms = {e: c for e, c in terms.items() if c != 0}
+        orders = ring.orders
+        self.terms = {e: c for e, c in terms.items()
+                      if c != 0 and all(map(le, e, orders))}
+
+    @classmethod
+    def _of(cls, ring: SeriesRing, terms: dict) -> "TruncatedSeries":
+        """Wrap a dict of nonzero terms inside the box, without copying."""
+        f = object.__new__(cls)
+        f.ring = ring
+        f.terms = terms
+        return f
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -122,7 +144,7 @@ class TruncatedSeries:
         for e, c in self.terms.items():
             if e[i] == k:
                 terms[e[:i] + e[i + 1:]] = c
-        return TruncatedSeries(sub, terms)
+        return TruncatedSeries._of(sub, terms)
 
     def coefficient_value(self, exponents: Mapping[str, int]):
         """Scalar coefficient of a full monomial (every variable pinned)."""
@@ -150,12 +172,12 @@ class TruncatedSeries:
                 terms.pop(e, None)
             else:
                 terms[e] = s
-        return TruncatedSeries(self.ring, terms)
+        return TruncatedSeries._of(self.ring, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return TruncatedSeries(self.ring, {e: -c for e, c in self.terms.items()})
+        return TruncatedSeries._of(self.ring, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -170,23 +192,14 @@ class TruncatedSeries:
             return TruncatedSeries(
                 self.ring, {e: c * other for e, c in self.terms.items()})
         other = self._coerce(other)
-        a, b = self.terms, other.terms
-        if len(a) < len(b):
-            a, b = b, a
-        orders = self.ring.orders
-        terms: dict[tuple, object] = {}
-        get = terms.get
-        for e2, c2 in b.items():
-            for e1, c1 in a.items():
-                e = tuple(map(add, e1, e2))
-                if not all(map(le, e, orders)):
-                    continue
-                s = get(e, 0) + c1 * c2
-                if s == 0:
-                    terms.pop(e, None)
-                else:
-                    terms[e] = s
-        return TruncatedSeries(self.ring, terms)
+        ring = self.ring
+        packing = ring.packing
+        den, ca, cb = exact_numerators(self.terms, other.terms)
+        out: dict = {}
+        sparse_product(list(zip(packing.keys(self.terms, biased=True), ca)),
+                       list(zip(packing.keys(other.terms), cb)),
+                       packing.guard, out)
+        return TruncatedSeries._of(ring, unpacked_terms(out, den, packing))
 
     __rmul__ = __mul__
 
@@ -240,33 +253,27 @@ class TruncatedSeries:
         """coefficient(var, k) of self*other, without forming the product."""
         other = self._coerce(other)
         i = self.ring.index(var)
-        a_parts: dict[int, dict] = {}
-        for e, c in self.terms.items():
-            a_parts.setdefault(e[i], {})[e[:i] + e[i + 1:]] = c
-        b_parts: dict[int, dict] = {}
-        for e, c in other.terms.items():
-            b_parts.setdefault(e[i], {})[e[:i] + e[i + 1:]] = c
         sub = self.ring.drop(var)
-        orders = sub.orders
-        terms: dict[tuple, object] = {}
-        get = terms.get
-        for da, pa in a_parts.items():
+        if not 0 <= k <= self.ring.orders[i]:
+            return sub.zero()   # truncated away in the full product
+        packing = sub.packing
+        den, ca, cb = exact_numerators(self.terms, other.terms)
+
+        def parts(terms, coeffs, biased):
+            """Packed terms without var, bucketed by the exponent of var."""
+            rest = packing.keys((e[:i] + e[i + 1:] for e in terms), biased=biased)
+            buckets: dict[int, list] = {}
+            for e, key, c in zip(terms, rest, coeffs):
+                buckets.setdefault(e[i], []).append((key, c))
+            return buckets
+
+        b_parts = parts(other.terms, cb, False)
+        out: dict = {}
+        for da, pa in parts(self.terms, ca, True).items():
             pb = b_parts.get(k - da)
-            if pb is None:
-                continue
-            if len(pa) < len(pb):
-                pa, pb = pb, pa
-            for e2, c2 in pb.items():
-                for e1, c1 in pa.items():
-                    e = tuple(map(add, e1, e2))
-                    if not all(map(le, e, orders)):
-                        continue
-                    s = get(e, 0) + c1 * c2
-                    if s == 0:
-                        terms.pop(e, None)
-                    else:
-                        terms[e] = s
-        return TruncatedSeries(sub, terms)
+            if pb is not None:
+                sparse_product(pa, pb, packing.guard, out)
+        return TruncatedSeries._of(sub, unpacked_terms(out, den, packing))
 
     def __repr__(self):
         return f"TruncatedSeries({self.as_poly()!r} @ {self.ring!r})"

@@ -151,8 +151,10 @@ class _Runner:
         return report
 
     def guard(self, check_id, params, fn):
-        """Run a check body; any error becomes a fail report."""
+        """Run a check body; any error becomes a fail report.  The body's
+        time goes to the last report it appended, if it appended any."""
         start = time.monotonic()
+        before = len(self.reports)
         try:
             result = fn()
             if isinstance(result, CheckReport):
@@ -160,7 +162,7 @@ class _Runner:
         except Exception as exc:  # never crash the runner
             self.reports.append(CheckReport.from_error(check_id, params, exc))
             result = None
-        if self.reports:
+        if len(self.reports) > before:
             self.reports[-1].elapsed_ms = int(1000 * (time.monotonic() - start))
         return result
 

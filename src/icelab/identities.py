@@ -152,15 +152,30 @@ def cauchy_kernel(x, y, tau):
 def cauchy_ratio(xs: Sequence, ys: Sequence, tau):
     """prod (x_j + y_k + tau x_j y_k) det[psi] / (V(x) V(y)).
 
-    Invariant under separate relabelings of the x's and of the y's."""
+    Invariant under separate relabelings of the x's and of the y's.
+
+    For floats, det[psi] cancels down to the size of V(x) V(y) with each
+    difference measured on the Riemann sphere, |p - q| / sqrt((1 + |p|^2)
+    (1 + |q|^2)), so that large values count as close when their
+    reciprocals are; it is evaluated with as many extra bits as that
+    product is small, and the result is rounded back to the working
+    precision."""
     s = len(xs)
     if len(ys) != s:
         raise ValueError("need equally many x and y values")
     if len(set(xs)) != s or len(set(ys)) != s:
         raise CoincidingParameters("cauchy_ratio needs distinct values in each set")
-    num = _cauchy_numerator(xs, ys, tau)
     den = vandermonde_value(xs) * vandermonde_value(ys)
-    return qdiv(num, den) if is_exact(num) and is_exact(den) else num / den
+    if is_exact(den):
+        num = _cauchy_numerator(xs, ys, tau)
+        return qdiv(num, den) if is_exact(num) else num / den
+    sphere = mpmath.mpf(1)
+    for v in (*xs, *ys):
+        sphere *= 1 + abs(v) ** 2
+    spread = abs(den) / mpmath.sqrt(sphere) ** (s - 1)
+    with mpmath.extraprec(max(0, -int(mpmath.floor(mpmath.log(spread, 2))))):
+        value = _cauchy_numerator(xs, ys, tau) / den
+    return +value
 
 
 def _cauchy_numerator(xs: Sequence, ys: Sequence, tau):

@@ -1,10 +1,13 @@
 """Suite runner: configuration, determinism, exit codes."""
 
 import json
+import time
 
 import pytest
 
-from icelab.cli import SuiteConfig, SUITES, main, parse_config, run, summarize
+from icelab.algebra import ONE
+from icelab.cli import (SuiteConfig, SUITES, _Runner, main, parse_config, run,
+                        summarize)
 from icelab.errors import ConfigError, UsageError
 
 
@@ -164,3 +167,20 @@ def test_validate_bounds_directly():
         SuiteConfig(backend="quantum").validate()
     with pytest.raises(ConfigError):
         SuiteConfig(precision_bits=8).validate()
+
+
+def test_guard_times_only_the_reports_its_body_appended():
+    runner = _Runner(SuiteConfig(suites=("partition",)))
+
+    def body(check_id):
+        time.sleep(0.02)
+        runner.compare(check_id, {}, ONE, ONE)
+
+    runner.guard("partition.first", {}, lambda: body("partition.first"))
+    runner.reports[-1].elapsed_ms = 7
+    runner.guard("partition.quiet", {}, lambda: time.sleep(0.02))
+    assert len(runner.reports) == 1
+    assert runner.reports[0].elapsed_ms == 7
+    runner.guard("partition.second", {}, lambda: body("partition.second"))
+    assert runner.reports[0].elapsed_ms == 7
+    assert runner.reports[1].elapsed_ms >= 20

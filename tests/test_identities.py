@@ -195,6 +195,22 @@ def test_w_matches_partition_fn_with_zeta_independence():
         assert rep.passed, (s, rep.discrepancy)
 
 
+def test_cauchy_ratio_keeps_working_precision_on_a_clustered_draw():
+    # antisym draw 2 at s=4 of seed 7: three x's within 0.04 of each other
+    # make det[psi] cancel by about 18 bits; unguarded, the extracted
+    # partition function missed by 2.45e-11
+    lams = [mpmath.mpf(v) for v in ("1.7751097858218048", "1.7888741906385903",
+                                    "1.8149503892534584", "1.182199779372977")]
+    nus = [mpmath.mpf(v) for v in ("0.18747555854528164", "0.23398377861880876",
+                                   "-0.18886663230575537", "-0.24378839690907883")]
+    eta, zeta, zeta2 = (mpmath.mpf(v) for v in (
+        "0.19137197154133012", "0.24582910999836205", "0.35582910999836204"))
+    with mpmath.workprec(53):
+        rep = check_w_matches_partition_fn(lams, nus, eta, zeta, zeta2)
+    assert rep.passed
+    assert float(rep.discrepancy) < 1e-13, rep.discrepancy
+
+
 # -- homogeneous and confluent limits ------------------------------------------
 
 
