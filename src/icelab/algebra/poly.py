@@ -7,7 +7,7 @@ binary operations align variable sets by name, so polynomials built in
 different contexts combine transparently.
 
 ``sparse_product`` is the one multiply loop of the algebra layer, shared
-by ``Poly`` and ``TruncatedSeries``.  It works on packed keys: a
+by ``Poly`` and ``TruncatedSeries`` through ``Packing.product``.  It works on packed keys: a
 ``Packing`` stores an exponent tuple as one int, one bit field per
 variable, so that adding two keys adds the exponent tuples.  Each field
 is wide enough for the sum of two exponents plus one guard bit.  A
@@ -84,6 +84,27 @@ class Packing:
         key -= self.bias
         return tuple([(key >> s) & m for s, m in zip(self.shifts, self.masks)])
 
+    def unpacked(self, out: dict, den: int) -> dict:
+        """Product terms by exponent tuple; integer numerators over ``den``
+        are reduced to rationals (ints when integral)."""
+        unpack = self.unpack
+        if den > 1:
+            return {unpack(k): qdiv(n, den) for k, n in out.items()}
+        return {unpack(k): c for k, c in out.items()}
+
+    def product(self, a: Mapping, b: Mapping,
+                a_positions: Sequence[int] | None = None,
+                b_positions: Sequence[int] | None = None) -> dict:
+        """The terms of the product of two term dicts, by exponent tuple,
+        with every term outside the truncation dropped.  ``a_positions``
+        and ``b_positions`` are as in ``keys``."""
+        den, ca, cb = exact_numerators(a, b)
+        out: dict = {}
+        sparse_product(list(zip(self.keys(a, a_positions, biased=True), ca)),
+                       list(zip(self.keys(b, b_positions), cb)),
+                       self.guard, out)
+        return self.unpacked(out, den)
+
 
 def exact_numerators(a: Mapping, b: Mapping) -> tuple:
     """(den, a_coeffs, b_coeffs) for multiplying the coefficients of two
@@ -133,15 +154,6 @@ def sparse_product(a: list, b: list, guard: int, out: dict) -> None:
                 out[k] = s
             else:
                 pop(k, None)
-
-
-def unpacked_terms(out: dict, den: int, packing: Packing) -> dict:
-    """Product terms by exponent tuple; integer numerators over ``den``
-    are reduced to rationals (ints when integral)."""
-    unpack = packing.unpack
-    if den > 1:
-        return {unpack(k): qdiv(n, den) for k, n in out.items()}
-    return {unpack(k): c for k, c in out.items()}
 
 
 class Poly:
@@ -263,16 +275,12 @@ class Poly:
                 return Poly.zero(self.vars)
             return Poly(self.vars, {e: c * other for e, c in self.terms.items()})
         variables = self._union_vars(other)
-        a, b = self.terms, other.terms
         cap = _max_exponent(self) + _max_exponent(other)
         packing = Packing((cap,) * len(variables))
-        den, ca, cb = exact_numerators(a, b)
-        out: dict = {}
-        sparse_product(
-            list(zip(packing.keys(a, [variables.index(v) for v in self.vars]), ca)),
-            list(zip(packing.keys(b, [variables.index(v) for v in other.vars]), cb)),
-            0, out)
-        return Poly._of(variables, unpacked_terms(out, den, packing))
+        return Poly._of(variables, packing.product(
+            self.terms, other.terms,
+            [variables.index(v) for v in self.vars],
+            [variables.index(v) for v in other.vars]))
 
     __rmul__ = __mul__
 

@@ -7,8 +7,9 @@ borrows from higher orders of the same variable, a coefficient below the
 truncation is exact whenever the inputs are exact, which is what turns
 contour integration into coefficient extraction.
 
-Products run through ``poly.sparse_product`` on packed keys.  Each ring
-builds its ``Packing`` once: field i is one bit wider than order i needs,
+Products run through ``Packing.product`` (``mul_slice`` through the
+``poly.sparse_product`` loop under it) on packed keys.  Each ring builds
+its ``Packing`` once: field i is one bit wider than order i needs,
 and the left operand's keys carry a bias of 2^(w-1) - 1 - order in each
 field, so a product key has a field's top (guard) bit set exactly when
 the exponent sum exceeds that order, and the box test of a pair is
@@ -32,8 +33,7 @@ import mpmath
 
 from ..errors import ZeroConstantTerm
 from .field import ONE, ZERO, qdiv
-from .poly import (Packing, Poly, exact_numerators, sparse_product,
-                   unpacked_terms)
+from .poly import Packing, Poly, exact_numerators, sparse_product
 
 
 class SeriesRing:
@@ -192,14 +192,8 @@ class TruncatedSeries:
             return TruncatedSeries(
                 self.ring, {e: c * other for e, c in self.terms.items()})
         other = self._coerce(other)
-        ring = self.ring
-        packing = ring.packing
-        den, ca, cb = exact_numerators(self.terms, other.terms)
-        out: dict = {}
-        sparse_product(list(zip(packing.keys(self.terms, biased=True), ca)),
-                       list(zip(packing.keys(other.terms), cb)),
-                       packing.guard, out)
-        return TruncatedSeries._of(ring, unpacked_terms(out, den, packing))
+        return TruncatedSeries._of(
+            self.ring, self.ring.packing.product(self.terms, other.terms))
 
     __rmul__ = __mul__
 
@@ -273,7 +267,7 @@ class TruncatedSeries:
             pb = b_parts.get(k - da)
             if pb is not None:
                 sparse_product(pa, pb, packing.guard, out)
-        return TruncatedSeries._of(sub, unpacked_terms(out, den, packing))
+        return TruncatedSeries._of(sub, packing.unpacked(out, den))
 
     def __repr__(self):
         return f"TruncatedSeries({self.as_poly()!r} @ {self.ring!r})"

@@ -1,15 +1,17 @@
 """Alternating before/after benchmark pairs, written to a BENCH_*.json file.
 
-    python3 tools/bench_pairs.py --out BENCH_6.json --pairs 10 --seed 301 \
-        --parent-dir /tmp/icelab-parent
+    python3 tools/bench_pairs.py --out BENCH_6.json --seed 301
 
 The parent tree is the committed tree of ``--base`` (default ``HEAD``),
-extracted with ``git archive BASE | tar -x -C PARENT_DIR``; the change is
-the working tree this script sits in.  For each gated workload of
-``BENCHMARK.json``, pair i runs ``perfbench/run.py`` once from each tree
-with seed ``--seed + i`` and the benchmark's ``run_seconds``; the parent
-runs first in even pairs and second in odd ones, so that a drift of the
-host's speed does not favour either side.  Runs are sequential.
+extracted with ``git archive BASE | tar -x`` into a new temporary
+directory; the change is the working tree this script sits in.  For each
+gated workload of ``BENCHMARK.json``, and for contour-float, which
+perfbench runs by name only, pair i of ten runs ``perfbench/run.py``
+once from each tree with seed ``--seed + i`` and the benchmark's
+``run_seconds``; the parent runs first in even pairs and second in odd
+ones, so that a drift of the host's speed does not favour either side.
+Ten pairs is the fewest that can back a claimed gain (nine wins of ten).
+Runs are sequential.
 
 The output holds every run's metrics, each side's median and quartiles
 per metric, and per metric the number of pairs the change won (ties count
@@ -23,6 +25,7 @@ import argparse
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
@@ -30,16 +33,17 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+PAIRS = 10
+UNGATED = ("contour-float",)   # the float path; perfbench runs it by name
 
 
-def extract(base: str, parent_dir: Path) -> None:
-    """Write the committed tree of ``base`` into ``parent_dir``."""
-    parent_dir.mkdir(parents=True, exist_ok=True)
-    if any(parent_dir.iterdir()):
-        raise SystemExit(f"{parent_dir} is not empty")
+def extract(base: str) -> Path:
+    """The committed tree of ``base``, written into a new temporary directory."""
+    parent_dir = Path(tempfile.mkdtemp(prefix="icelab-parent-"))
     archive = subprocess.run(["git", "archive", base], cwd=ROOT, check=True,
                              capture_output=True).stdout
     subprocess.run(["tar", "-x", "-C", str(parent_dir)], input=archive, check=True)
+    return parent_dir
 
 
 def bench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -65,19 +69,15 @@ def summary(values: list) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", required=True, type=Path)
-    parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, required=True,
                         help="seed of pair 0; pair i uses seed + i")
     parser.add_argument("--base", default="HEAD", help="git revision of the parent")
-    parser.add_argument("--parent-dir", type=Path,
-                        help="empty directory for the parent tree (default: a new temporary one)")
     ns = parser.parse_args(argv)
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     metrics = {m["name"]: m["better"] for m in spec["end_to_end"]}
-    workloads = [w["name"] for w in spec["workloads"]]
-    parent = ns.parent_dir or Path(tempfile.mkdtemp(prefix="icelab-parent-"))
-    extract(ns.base, parent)
+    gated = [w["name"] for w in spec["workloads"]]
+    parent = extract(ns.base)
     base_rev = subprocess.run(["git", "rev-parse", ns.base], cwd=ROOT, check=True,
                               capture_output=True, text=True).stdout.strip()
 
@@ -86,11 +86,11 @@ def main(argv=None) -> int:
            "parent": base_rev,
            "machine": {"cpus": os.cpu_count(), "python": platform.python_version(),
                        "platform": platform.platform()},
-           "run_seconds": spec["run_seconds"], "pairs": ns.pairs,
+           "run_seconds": spec["run_seconds"], "pairs": PAIRS,
            "workloads": {}}
-    for workload in workloads:
+    for workload in [*gated, *UNGATED]:
         runs = {"parent": [], "change": []}
-        for i in range(ns.pairs):
+        for i in range(PAIRS):
             seed = ns.seed + i
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             for side in order:
@@ -99,7 +99,8 @@ def main(argv=None) -> int:
                 print(f"{workload} pair {i} {side}: "
                       + " ".join(f"{m}={runs[side][-1][m]:.4g}" for m in metrics),
                       file=sys.stderr, flush=True)
-        entry = {"runs": runs, "parent": {}, "change": {}, "change_wins": {}}
+        entry = {"gated": workload in gated, "runs": runs,
+                 "parent": {}, "change": {}, "change_wins": {}}
         for name, better in metrics.items():
             for side in ("parent", "change"):
                 entry[side][name] = summary([r[name] for r in runs[side]])
@@ -109,6 +110,7 @@ def main(argv=None) -> int:
                 for p, c in zip(runs["parent"], runs["change"]))
         out["workloads"][workload] = entry
         ns.out.write_text(json.dumps(out, indent=1) + "\n")
+    shutil.rmtree(parent)
     return 0
 
 
