@@ -7,7 +7,8 @@ binary operations align variable sets by name, so polynomials built in
 different contexts combine transparently.
 
 ``sparse_product`` is the one multiply loop of the algebra layer, shared
-by ``Poly`` and ``TruncatedSeries`` through ``Packing.product``.  It works on packed keys: a
+by ``Poly`` and ``TruncatedSeries`` through ``Packing.product`` and
+``Packing.slice_product``, so no other module knows the key format.  It works on packed keys: a
 ``Packing`` stores an exponent tuple as one int, one bit field per
 variable, so that adding two keys adds the exponent tuples.  Each field
 is wide enough for the sum of two exponents plus one guard bit.  A
@@ -103,6 +104,28 @@ class Packing:
         sparse_product(list(zip(self.keys(a, a_positions, biased=True), ca)),
                        list(zip(self.keys(b, b_positions), cb)),
                        self.guard, out)
+        return self.unpacked(out, den)
+
+    def slice_product(self, a: Mapping, b: Mapping, i: int, k: int) -> dict:
+        """The terms of the product of two term dicts whose exponent at
+        position i is k, by exponent tuple without position i; this
+        packing holds the other positions.  Terms are bucketed by their
+        exponent at i, and only buckets whose exponents sum to k meet."""
+        den, ca, cb = exact_numerators(a, b)
+
+        def buckets(terms, coeffs, biased):
+            rest = self.keys((e[:i] + e[i + 1:] for e in terms), biased=biased)
+            parts: dict[int, list] = {}
+            for e, key, c in zip(terms, rest, coeffs):
+                parts.setdefault(e[i], []).append((key, c))
+            return parts
+
+        b_parts = buckets(b, cb, False)
+        out: dict = {}
+        for da, pa in buckets(a, ca, True).items():
+            pb = b_parts.get(k - da)
+            if pb is not None:
+                sparse_product(pa, pb, self.guard, out)
         return self.unpacked(out, den)
 
 

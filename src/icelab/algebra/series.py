@@ -7,9 +7,9 @@ borrows from higher orders of the same variable, a coefficient below the
 truncation is exact whenever the inputs are exact, which is what turns
 contour integration into coefficient extraction.
 
-Products run through ``Packing.product`` (``mul_slice`` through the
-``poly.sparse_product`` loop under it) on packed keys.  Each ring builds
-its ``Packing`` once: field i is one bit wider than order i needs,
+Products run through ``Packing.product`` (``mul_slice`` through
+``Packing.slice_product``) on packed keys.  Each ring builds its
+``Packing`` once: field i is one bit wider than order i needs,
 and the left operand's keys carry a bias of 2^(w-1) - 1 - order in each
 field, so a product key has a field's top (guard) bit set exactly when
 the exponent sum exceeds that order, and the box test of a pair is
@@ -33,7 +33,7 @@ import mpmath
 
 from ..errors import ZeroConstantTerm
 from .field import ONE, ZERO, qdiv
-from .poly import Packing, Poly, exact_numerators, sparse_product
+from .poly import Packing, Poly
 
 
 class SeriesRing:
@@ -250,24 +250,8 @@ class TruncatedSeries:
         sub = self.ring.drop(var)
         if not 0 <= k <= self.ring.orders[i]:
             return sub.zero()   # truncated away in the full product
-        packing = sub.packing
-        den, ca, cb = exact_numerators(self.terms, other.terms)
-
-        def parts(terms, coeffs, biased):
-            """Packed terms without var, bucketed by the exponent of var."""
-            rest = packing.keys((e[:i] + e[i + 1:] for e in terms), biased=biased)
-            buckets: dict[int, list] = {}
-            for e, key, c in zip(terms, rest, coeffs):
-                buckets.setdefault(e[i], []).append((key, c))
-            return buckets
-
-        b_parts = parts(other.terms, cb, False)
-        out: dict = {}
-        for da, pa in parts(self.terms, ca, True).items():
-            pb = b_parts.get(k - da)
-            if pb is not None:
-                sparse_product(pa, pb, packing.guard, out)
-        return TruncatedSeries._of(sub, packing.unpacked(out, den))
+        return TruncatedSeries._of(
+            sub, sub.packing.slice_product(self.terms, other.terms, i, k))
 
     def __repr__(self):
         return f"TruncatedSeries({self.as_poly()!r} @ {self.ring!r})"
