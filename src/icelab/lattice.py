@@ -21,11 +21,22 @@ the absolute directions (west-points-right, east-points-right,
 south-points-up, north-points-up); all-parallel pairs are the a
 vertices, the horizontal-in/vertical-out and horizontal-out/vertical-in
 pairs are the c vertices.
+
+The transfer fold runs on a skeleton that does not depend on the
+weights.  The row states below consecutive horizontal lines interlace,
+like consecutive rows of a monotone triangle, so ``skeleton(n)`` lists
+once per n the interlacing pairs of states and the vertex letters of the
+line between them.  A fold then does one multiply and one add per listed
+pair.  Exact homogeneous weights fold on integers and are divided once
+at the end; any other weights multiply their vertex values in the order
+a right-to-left scan of the line uses, so float results are the same as
+a scan of every pair of states gives.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterator, Sequence, Union
@@ -173,87 +184,203 @@ def flux_sector_states(n: int, s: int) -> list:
 # -- transfer matrix -------------------------------------------------
 
 
-def row_transfer_weight(top: RowState, bottom: RowState, weights: WeightSpec,
-                        row_index: int):
-    """Weight of one horizontal line: product of its vertex weights, or 0
-    if no arrow assignment on the horizontal edges is consistent.
+@dataclass(frozen=True)
+class Skeleton:
+    """The nonzero row pairs of the n x n DWBC lattice, which do not
+    depend on the weights.
+
+    ``states[k]`` is ``flux_sector_states(n, k)``, the states below
+    horizontal line k (``states[0]`` is the top boundary).  Line k joins a
+    state of ``states[k-1]`` above it to one of ``states[k]`` below it, and
+    ``rows[k-1][j]`` holds the pairs whose lower state is ``states[k][j]``
+    as ``(aboves, letters, classes)``:
+
+    * ``aboves``, the increasing indices into ``states[k-1]`` of the upper
+      states that interlace with it;
+    * ``letters``, each pair's vertex letters, one character per position
+      r = 1..n, joined into one string of n characters per pair;
+    * ``classes``, each pair's index into ``counts``, which lists once
+      each distinct triple (numbers of a, b and c vertices) of a line.
+    """
+
+    states: tuple
+    rows: tuple
+    counts: tuple
+
+
+@lru_cache(maxsize=None)
+def skeleton(n: int) -> Skeleton:
+    """The interlacing pairs and their letters for lattice size n.
+
+    Nonzero pairs are the consecutive rows of a monotone triangle (Mills,
+    Robbins & Rumsey 1983), so each lower state's partners are generated
+    by the ice-rule scan rather than filtered out of all C(n, k-1)
+    candidates."""
+    states = tuple(tuple(flux_sector_states(n, k)) for k in range(n + 1))
+    rows = []
+    counts: dict = {}
+    for k in range(1, n + 1):
+        index = {state: i for i, state in enumerate(states[k - 1])}
+        groups = []
+        for below in states[k]:
+            pairs = sorted((index[above], letters)
+                           for above, letters in _lines_above(below))
+            groups.append((
+                _packed([i for i, _ in pairs]),
+                "".join(letters for _, letters in pairs),
+                _packed([counts.setdefault((letters.count("a"), letters.count("b"),
+                                            letters.count("c")), len(counts))
+                         for _, letters in pairs])))
+        rows.append(tuple(groups))
+    return Skeleton(states, tuple(rows), tuple(counts))
+
+
+def _packed(indices: list):
+    """The indices one byte each when they fit (every n up to 10), else a
+    tuple; both iterate as ints."""
+    return bytes(indices) if max(indices) < 256 else tuple(indices)
+
+
+def _lines_above(below: RowState) -> list:
+    """Every (above, letters) for which one horizontal line can sit over
+    the row state ``below``.
 
     The scan runs right to left; the right boundary edge points right
     (outgoing) and the final west edge must point left (outgoing).  At
-    each vertex the west edge is forced by the ice rule.
+    each vertex the north edge is free and the west edge is forced by the
+    ice rule.
     """
-    n = len(top)
-    if len(bottom) != n:
-        raise WidthMismatch(f"row widths differ: {len(top)} vs {len(bottom)}")
-    east = True
-    weight = None
-    for r in range(1, n + 1):
-        n_up = top[r - 1]
-        s_up = bottom[r - 1]
-        inward = (not east) + s_up + (not n_up)
-        west_in = 2 - inward
-        if west_in not in (0, 1):
-            return 0
-        west = west_in == 1
-        letter = VERTEX_TYPE[(west, east, s_up, n_up)]
-        w = weights.vertex(letter, row_index, r)
-        weight = w if weight is None else weight * w
-        east = west
-    if east:
-        return 0
-    return weight
+    partial = [(True, (), "")]  # (east edge points right, north edges, letters)
+    for s_up in below:
+        grown = []
+        for east, above, letters in partial:
+            for n_up in (False, True):
+                west_in = 2 - ((not east) + s_up + (not n_up))
+                if west_in in (0, 1):
+                    west = west_in == 1
+                    grown.append((west, above + (n_up,),
+                                  letters + VERTEX_TYPE[(west, east, s_up, n_up)]))
+        partial = grown
+    return [(above, letters) for east, above, letters in partial if not east]
+
+
+def _row_weights(n: int, weights: WeightSpec, sk: Skeleton) -> tuple:
+    """(one, rows, scale) for one fold.
+
+    ``rows[k-1][j]`` lists the line weights of the pairs of
+    ``sk.rows[k-1][j]``, None for a zero weight.  Exact homogeneous
+    weights are replaced by the integers d*a, d*b, d*c, with d their least
+    common denominator, and a line's weight is looked up by its letter
+    counts; ``scale(value, lines)`` divides a fold of that many lines by
+    d^(n*lines), which is exact because such a block is homogeneous of
+    degree n*lines in (a, b, c).  Any other weights multiply their vertex
+    values in position order r = 1..n, from a table of at most 3n^2, so
+    float values are the ones a scan of the line gives; ``scale`` returns
+    the value as it is.  ``one`` is the boundary vectors' entry.
+    """
+    if isinstance(weights, HomogeneousWeights) and weights.exact:
+        rationals = [rational(x) for x in (weights.a, weights.b, weights.c)]
+        d = math.lcm(*(q.denominator for q in rationals))
+        a, b, c = (q.numerator * (d // q.denominator) for q in rationals)
+        power = [a ** i * b ** j * c ** l for i, j, l in sk.counts].__getitem__
+        rows = tuple(tuple(list(map(power, classes)) for _, _, classes in row)
+                     for row in sk.rows)
+        # int weights have int products, so their entries stay ints
+        if all(type(x) is int for x in (weights.a, weights.b, weights.c)):
+            return 1, rows, lambda value, lines: value
+        return 1, rows, lambda value, lines: rational(value, d ** (n * lines))
+
+    def line(k):   # (vertex values by position and letter, prefix memo)
+        return [{x: weights.vertex(x, k, r) for x in "abc"} for r in range(1, n + 1)], {}
+
+    if isinstance(weights, HomogeneousWeights):
+        lines = [line(1)] * n   # every line has the same vertex values
+    else:
+        lines = [line(k) for k in range(1, n + 1)]
+    rows = tuple(tuple([None if (w := _prefix_product(letters[m:m + n], vertex, partial)) == 0
+                        else w for m in range(0, len(letters), n)]
+                       for _, letters, _ in row)
+                 for row, (vertex, partial) in zip(sk.rows, lines))
+    one = 1 if weights.exact else mpmath.mpf(1)
+    return one, rows, lambda value, lines: value
+
+
+def _prefix_product(letters: str, vertex: list, partial: dict):
+    """The product of ``vertex[r-1][letters[r-1]]`` over r = 1..n, left to
+    right, as a scan of the line multiplies them.  Letter strings that
+    share a prefix share its partial product, memoised in ``partial``."""
+    w = partial.get(letters)
+    if w is None:
+        w = vertex[len(letters) - 1][letters[-1]]
+        if len(letters) > 1:
+            w = _prefix_product(letters[:-1], vertex, partial) * w
+        partial[letters] = w
+    return w
+
+
+def _check_width(n: int, weights: WeightSpec):
+    if isinstance(weights, InhomogeneousWeights) and len(weights.lambdas) != n:
+        raise WidthMismatch("inhomogeneous parameters must match the lattice size")
 
 
 @lru_cache(maxsize=None)
 def forward_vectors(n: int, weights: WeightSpec) -> tuple:
     """vec[k] maps each row state below line k to the weight of folding
     rows 1..k down from the all-down top boundary.  DWBC forces exactly k
-    up arrows below line k, so only that flux sector is folded."""
-    vecs = [{all_down(n): 1 if weights.exact else mpmath.mpf(1)}]
+    up arrows below line k, so only that flux sector is folded, one
+    multiply and one add per interlacing pair of the skeleton."""
+    _check_width(n, weights)
+    sk = skeleton(n)
+    one, rows, scale = _row_weights(n, weights, sk)
+    vals = [one]
+    vecs = [{sk.states[0][0]: one}]
     for k in range(1, n + 1):
-        prev = vecs[-1]
-        nxt = {}
-        for below in flux_sector_states(n, k):
+        prev, vals = vals, []
+        for (aboves, _, _), line in zip(sk.rows[k - 1], rows[k - 1]):
             total = None
-            for above, w_above in prev.items():
-                w = row_transfer_weight(above, below, weights, k)
-                if w == 0:
+            for i, w in zip(aboves, line):
+                v = prev[i]
+                if v is None or w is None:
                     continue
-                term = w_above * w
+                term = v * w
                 total = term if total is None else total + term
-            if total is not None and total != 0:
-                nxt[below] = total
-        vecs.append(nxt)
+            vals.append(None if total is None or total == 0 else total)
+        vecs.append({state: scale(v, k) for state, v in zip(sk.states[k], vals)
+                     if v is not None})
     return tuple(vecs)
 
 
 @lru_cache(maxsize=None)
 def backward_vectors(n: int, weights: WeightSpec) -> tuple:
     """vec[k] maps each row state below line k to the weight of folding
-    rows k+1..n down to the all-up bottom boundary."""
+    rows k+1..n down to the all-up bottom boundary.  Each lower state
+    passes its weight up to its interlacing partners; in that order every
+    upper state sums its terms over the lower states in flux-sector order."""
+    _check_width(n, weights)
+    sk = skeleton(n)
+    one, rows, scale = _row_weights(n, weights, sk)
+    vals = [one]
     vecs = [None] * (n + 1)
-    vecs[n] = {all_up(n): 1 if weights.exact else mpmath.mpf(1)}
+    vecs[n] = {sk.states[n][0]: one}
     for k in range(n - 1, -1, -1):
-        nxt = vecs[k + 1]
-        cur = {}
-        for above in flux_sector_states(n, k):
-            total = None
-            for below, w_below in nxt.items():
-                w = row_transfer_weight(above, below, weights, k + 1)
-                if w == 0:
+        totals = [None] * len(sk.states[k])
+        for v, (aboves, _, _), line in zip(vals, sk.rows[k], rows[k]):
+            if v is None:
+                continue
+            for i, w in zip(aboves, line):
+                if w is None:
                     continue
-                term = w * w_below
-                total = term if total is None else total + term
-            if total is not None and total != 0:
-                cur[above] = total
-        vecs[k] = cur
+                term = w * v
+                total = totals[i]
+                totals[i] = term if total is None else total + term
+        vals = [None if t is None or t == 0 else t for t in totals]
+        vecs[k] = {state: scale(v, n - k) for state, v in zip(sk.states[k], vals)
+                   if v is not None}
     return tuple(vecs)
 
 
 def partition_function(n: int, weights: WeightSpec):
     """Z_N by folding the transfer matrix top to bottom."""
-    if isinstance(weights, InhomogeneousWeights) and len(weights.lambdas) != n:
-        raise WidthMismatch("inhomogeneous parameters must match the lattice size")
     return forward_vectors(n, weights)[n][all_up(n)]
 
 

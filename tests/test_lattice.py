@@ -1,6 +1,7 @@
 """Transfer-matrix oracle against direct enumeration and hand formulas."""
 
 import itertools
+import math
 
 import mpmath
 import pytest
@@ -12,12 +13,11 @@ from icelab.lattice import (HomogeneousWeights, InhomogeneousWeights,
                             VERTEX_TYPE, all_down, all_up,
                             boundary_correlation, brute_force_partition,
                             brute_force_rcp, dwbc_configurations, efp_enum,
-                            flux_sector_states, forward_vectors,
-                            partition_function,
+                            backward_vectors, flux_sector_states,
+                            forward_vectors, partition_function,
                             partition_function_bottom_up, positions_of,
-                            rcp_enum, row_transfer_weight,
-                            state_from_positions, weights_from_trig,
-                            z_bot_enum, z_top_enum)
+                            rcp_enum, skeleton, state_from_positions,
+                            weights_from_trig, z_bot_enum, z_top_enum)
 from icelab.sampling import DeterministicRng, weight_triple
 
 FF = HomogeneousWeights(Q(3), Q(4), Q(5))   # free-fermion point
@@ -32,19 +32,56 @@ def test_vertex_table_is_the_six_ice_states():
         assert inward == 2
 
 
+def line_weight(above, below, weights, k):
+    """Weight of horizontal line k between two row states, from the
+    skeleton's letters: the product of the vertex weights in position
+    order, or 0 when the skeleton lists no such pair."""
+    n = len(below)
+    sk = skeleton(n)
+    for (aboves, letters, _), state in zip(sk.rows[k - 1], sk.states[k]):
+        if state != below:
+            continue
+        for m, i in enumerate(aboves):
+            if sk.states[k - 1][i] == above:
+                return math.prod(weights.vertex(x, k, r) for r, x in
+                                 enumerate(letters[m * n:(m + 1) * n], start=1))
+    return 0
+
+
 def test_single_vertex_is_forced_c():
-    assert row_transfer_weight((False,), (True,), FF, 1) == 5
-    assert row_transfer_weight((False,), (False,), FF, 1) == 0
+    (aboves, letters, _), = skeleton(1).rows[0]
+    assert list(aboves) == [0] and letters == "c"
+    assert line_weight((False,), (True,), FF, 1) == 5
+    assert line_weight((False,), (False,), FF, 1) == 0
 
 
 def test_row_weight_matches_manual_product():
     # N=2, top all down, bottom up at position 1: c-vertex then a-vertex
-    assert row_transfer_weight((False, False), (True, False), FF, 1) == 5 * 3
+    assert line_weight((False, False), (True, False), FF, 1) == 5 * 3
 
 
 def test_row_weight_width_mismatch():
-    with pytest.raises(WidthMismatch):
-        row_transfer_weight((False,), (False, False), FF, 1)
+    # every line of the skeleton has one letter per position; weights of
+    # another width are refused by the fold (next test)
+    for n in range(1, 6):
+        assert all(len(letters) == n * len(aboves) for row in skeleton(n).rows
+                   for aboves, letters, _ in row)
+
+
+def test_every_fold_entry_point_checks_the_width():
+    eta = mpmath.mpf("0.3")
+    three = InhomogeneousWeights(
+        tuple(mpmath.mpf(x) for x in ("0.7", "0.95", "0.55")),
+        tuple(mpmath.mpf(x) for x in ("0.1", "-0.12", "0.22")), eta)
+    for n in (2, 4):
+        for fold in (partition_function, partition_function_bottom_up,
+                     forward_vectors, backward_vectors):
+            with pytest.raises(WidthMismatch):
+                fold(n, three)
+        with pytest.raises(WidthMismatch):
+            z_top_enum(n, 1, (1,), three)
+        with pytest.raises(WidthMismatch):
+            z_bot_enum(n, 1, (1,), three)
 
 
 def test_partition_function_one_site():
