@@ -7,8 +7,7 @@ binary operations align variable sets by name, so polynomials built in
 different contexts combine transparently.
 
 ``sparse_product`` is the one multiply loop of the algebra layer, shared
-by ``Poly`` and ``TruncatedSeries`` through ``Packing.product`` and
-``Packing.slice_product``, so no other module knows the key format.  It works on packed keys: a
+by ``Poly`` and ``TruncatedSeries``.  It works on packed keys: a
 ``Packing`` stores an exponent tuple as one int, one bit field per
 variable, so that adding two keys adds the exponent tuples.  Each field
 is wide enough for the sum of two exponents plus one guard bit.  A
@@ -17,9 +16,14 @@ bit is set exactly when the sum exceeds that variable's order, which
 makes the truncation test ``(k1 + k2) & guard``; a polynomial is never
 truncated and uses guard 0.  When every coefficient is an int or a
 ``Fraction``, the loop multiplies integer numerators over one common
-denominator per operand, and each output term is reduced to a rational
-once (a plain int when it is integral).  mpmath coefficients run through
-the same loop with their own arithmetic.
+denominator per operand; mpmath coefficients run through the same loop
+with their own arithmetic.
+
+A polynomial keeps its terms by exponent tuple, so ``Packing.product``
+packs both operands for each product and reduces each output term to a
+rational once (a plain int when it is integral).  A truncated series is
+stored packed, as integer numerators over one denominator, and calls
+``sparse_product`` directly (see ``series``).
 
 ``poly_exact_div`` performs long division that is required to terminate
 with remainder zero (Vandermonde divisions of antisymmetric numerators);
@@ -81,52 +85,26 @@ class Packing:
         return [sum(map(lshift, e, shifts)) + base for e in exponents]
 
     def unpack(self, key: int) -> tuple:
-        """The exponent tuple of a product key (one biased operand)."""
-        key -= self.bias
+        """The exponent tuple of an unbiased key."""
         return tuple([(key >> s) & m for s, m in zip(self.shifts, self.masks)])
-
-    def unpacked(self, out: dict, den: int) -> dict:
-        """Product terms by exponent tuple; integer numerators over ``den``
-        are reduced to rationals (ints when integral)."""
-        unpack = self.unpack
-        if den > 1:
-            return {unpack(k): qdiv(n, den) for k, n in out.items()}
-        return {unpack(k): c for k, c in out.items()}
 
     def product(self, a: Mapping, b: Mapping,
                 a_positions: Sequence[int] | None = None,
                 b_positions: Sequence[int] | None = None) -> dict:
         """The terms of the product of two term dicts, by exponent tuple,
         with every term outside the truncation dropped.  ``a_positions``
-        and ``b_positions`` are as in ``keys``."""
+        and ``b_positions`` are as in ``keys``.  Integer numerators over
+        the common denominator are reduced to rationals (ints when
+        integral)."""
         den, ca, cb = exact_numerators(a, b)
         out: dict = {}
         sparse_product(list(zip(self.keys(a, a_positions, biased=True), ca)),
                        list(zip(self.keys(b, b_positions), cb)),
                        self.guard, out)
-        return self.unpacked(out, den)
-
-    def slice_product(self, a: Mapping, b: Mapping, i: int, k: int) -> dict:
-        """The terms of the product of two term dicts whose exponent at
-        position i is k, by exponent tuple without position i; this
-        packing holds the other positions.  Terms are bucketed by their
-        exponent at i, and only buckets whose exponents sum to k meet."""
-        den, ca, cb = exact_numerators(a, b)
-
-        def buckets(terms, coeffs, biased):
-            rest = self.keys((e[:i] + e[i + 1:] for e in terms), biased=biased)
-            parts: dict[int, list] = {}
-            for e, key, c in zip(terms, rest, coeffs):
-                parts.setdefault(e[i], []).append((key, c))
-            return parts
-
-        b_parts = buckets(b, cb, False)
-        out: dict = {}
-        for da, pa in buckets(a, ca, True).items():
-            pb = b_parts.get(k - da)
-            if pb is not None:
-                sparse_product(pa, pb, self.guard, out)
-        return self.unpacked(out, den)
+        unpack, bias = self.unpack, self.bias
+        if den > 1:
+            return {unpack(k - bias): qdiv(n, den) for k, n in out.items()}
+        return {unpack(k - bias): c for k, c in out.items()}
 
 
 def exact_numerators(a: Mapping, b: Mapping) -> tuple:
@@ -135,8 +113,8 @@ def exact_numerators(a: Mapping, b: Mapping) -> tuple:
     operand is scaled to integer numerators over the lcm of its
     denominators, and den is the product of the two lcms; otherwise den
     is 0 and the coefficients are returned as they are."""
-    da = _common_denominator(a.values())
-    db = _common_denominator(b.values()) if da else 0
+    da = common_denominator(a.values())
+    db = common_denominator(b.values()) if da else 0
     if not db:
         return 0, list(a.values()), list(b.values())
     return (da * db,
@@ -144,13 +122,13 @@ def exact_numerators(a: Mapping, b: Mapping) -> tuple:
             [c.numerator * (db // c.denominator) for c in b.values()])
 
 
-_EXACT_TYPES = {int, Fraction}
+EXACT_TYPES = {int, Fraction}
 
 
-def _common_denominator(coeffs) -> int:
+def common_denominator(coeffs) -> int:
     """The lcm of the denominators, or 0 unless every coefficient is an
     int or a Fraction (bool and subclasses take the general path)."""
-    if not set(map(type, coeffs)) <= _EXACT_TYPES:
+    if not set(map(type, coeffs)) <= EXACT_TYPES:
         return 0
     return math.lcm(*{c.denominator for c in coeffs})
 

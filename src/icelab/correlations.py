@@ -198,6 +198,9 @@ def sym_generating_poly(n: int, s: int, weights: WeightSpec) -> Poly:
         return total
 
     result = reduced_minor(frozenset(range(1, s + 1)))
+    # reduced_minor refers to itself, a cycle that only the cyclic garbage
+    # collector frees, so release the memoized minors here
+    memo.clear()
     result = result.aligned(tuple(_zvar(i) for i in range(1, s + 1)))
     if denom != 1:
         result = result.map_coeff(lambda c: qdiv(c, denom))
@@ -269,20 +272,6 @@ def residue_ring(specs: Sequence[ResidueSpec], extra_order: int = 0) -> SeriesRi
                       tuple(sp.target_exponent + extra_order for sp in specs))
 
 
-def _embed(series: TruncatedSeries, ring: SeriesRing) -> TruncatedSeries:
-    if series.ring == ring:
-        return series
-    pos = [ring.index(v) for v in series.ring.vars]
-    n = len(ring.vars)
-    terms = {}
-    for e, c in series.terms.items():
-        new = [0] * n
-        for i, ei in zip(pos, e):
-            new[i] = ei
-        terms[tuple(new)] = c
-    return TruncatedSeries(ring, terms)
-
-
 def iterated_residue(factors: Sequence, specs: Sequence[ResidueSpec], *,
                      extra_series: Sequence[TruncatedSeries] = (),
                      ring: SeriesRing | None = None,
@@ -335,21 +324,19 @@ def iterated_residue(factors: Sequence, specs: Sequence[ResidueSpec], *,
     for series in extra_series:
         if series.ring != ring:
             raise ValueError("extra series must live in the engine ring")
-        support = [v for i, v in enumerate(ring.vars)
-                   if any(e[i] for e in series.terms)]
-        step = min((step_of[v] for v in support), default=0)
+        step = min((step_of[v] for v in series.support()), default=0)
         pending.append((step, series))
 
     acc = ring.one()
     current = ring
     for i, var in enumerate(order):
         merge_now = sorted((s for s in pending if s[0] == i),
-                           key=lambda item: len(item[1].terms))
+                           key=lambda item: len(item[1].nums))
         target = by_var[var].target_exponent
         if merge_now:
             for _, series in merge_now[:-1]:
-                acc = acc * _embed(series, current)
-            acc = acc.mul_slice(_embed(merge_now[-1][1], current), var, target)
+                acc = acc * current.embed(series)
+            acc = acc.mul_slice(current.embed(merge_now[-1][1]), var, target)
         else:
             acc = acc.coefficient(var, target)
         current = current.drop(var)
@@ -360,29 +347,35 @@ def _compose_poly(poly: Poly, ring: SeriesRing,
                   series_map: Mapping[str, TruncatedSeries]) -> TruncatedSeries:
     """poly with each variable replaced by a series from the ring."""
     variables = [v for v in poly.vars if v in series_map]
-    powers: dict[str, list] = {}
+    powers = {v: [ring.one()] for v in variables}
 
     def pow_of(v: str, k: int) -> TruncatedSeries:
-        table = powers.setdefault(v, [ring.one()])
+        table = powers[v]
         while len(table) <= k:
             table.append(table[-1] * series_map[v])
         return table[k]
 
-    def rec(p: Poly, depth: int) -> TruncatedSeries:
-        if p.is_zero():
-            return ring.zero()
-        if depth == len(variables):
-            return ring.const(p.constant_value())
-        v = variables[depth]
-        total = ring.zero()
-        for k in range(p.degree(v) + 1):
-            part = p.coefficient(v, k)
-            if part.is_zero():
-                continue
-            total = total + rec(part, depth + 1) * pow_of(v, k)
-        return total
+    return _substitute(poly, ring, variables, pow_of)
 
-    return rec(poly, 0)
+
+def _substitute(p: Poly, ring: SeriesRing, variables: Sequence[str],
+                pow_of) -> TruncatedSeries:
+    """p with each of ``variables`` replaced by the series whose k-th power
+    is ``pow_of(v, k)``, one variable per level.  A module-level function
+    rather than a closure that calls itself, so that no reference cycle
+    keeps the power tables alive after the call."""
+    if p.is_zero():
+        return ring.zero()
+    if not variables:
+        return ring.const(p.constant_value())
+    v = variables[0]
+    total = ring.zero()
+    for k in range(p.degree(v) + 1):
+        part = p.coefficient(v, k)
+        if part.is_zero():
+            continue
+        total = total + _substitute(part, ring, variables[1:], pow_of) * pow_of(v, k)
+    return total
 
 
 # -- emptiness formation probability: three contour forms ---------------

@@ -65,7 +65,9 @@ class HomogeneousWeights:
     """Weights (a, b, c), either exact rationals or mpmath floats.
 
     ``exact`` takes part in equality and hashing, so that float weights
-    never share a cache entry with the equal exact ones."""
+    never share a cache entry with the equal exact ones.  Integral exact
+    entries are stored as ints, so that equal exact weights, which share
+    cache entries, also give values of the same type."""
 
     a: object
     b: object
@@ -77,6 +79,11 @@ class HomogeneousWeights:
             raise DegenerateWeights(f"weights must be nonzero, got {self}")
         exact = is_exact(self.a) and is_exact(self.b) and is_exact(self.c)
         object.__setattr__(self, "exact", exact)
+        if exact:
+            for name in "abc":
+                x = getattr(self, name)
+                if type(x) is not int and x.denominator == 1:
+                    object.__setattr__(self, name, int(x.numerator))
 
     @property
     def t(self):

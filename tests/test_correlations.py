@@ -178,6 +178,31 @@ def test_residue_processing_order_independence():
             assert iterated_residue(factors, specs, var_order=order) == baseline
 
 
+def test_residue_order_independence_with_extra_series():
+    # the contour EFP forms pass a prebuilt series in the engine ring; its
+    # merge step comes from the variables it holds, whatever var_order is
+    rng = DeterministicRng(29)
+    names = ("z1", "z2", "z3")
+    specs = [ResidueSpec(v, 0, 2) for v in names]
+    ring = residue_ring(specs)
+    z = {v: Poly.variable(v) for v in names}
+    for _ in range(10):
+        c = Q(1 + rng.below(4), 1 + rng.below(4))
+        pair = 1 + c * z["z1"] * z["z3"]
+        single = Poly(("z2",), {(k,): Q(1 + rng.below(5), 1 + rng.below(3))
+                                for k in range(3)})
+        poly = Poly(names, {(rng.below(3), rng.below(3), rng.below(3)):
+                            Q(1 + rng.below(9)) for _ in range(4)})
+        factors = [(1 + c * z["z1"] * z["z2"], -1), poly]
+        extra = [ring.from_poly(pair).invert(), ring.from_poly(single),
+                 ring.const(Q(3, 7))]
+        baseline = iterated_residue(factors + [(pair, -1), single, Q(3, 7) + 0 * z["z1"]],
+                                    specs)
+        for order in itertools.permutations(names):
+            assert iterated_residue(factors, specs, extra_series=extra, ring=ring,
+                                    var_order=order) == baseline
+
+
 # -- emptiness formation probability ---------------------------------------
 
 

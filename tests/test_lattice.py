@@ -290,3 +290,17 @@ def test_float_weights_never_share_a_cache_entry_with_exact_ones():
     assert isinstance(partition_function(3, floats), mpmath.mpf)
     z = partition_function(3, FF)
     assert z == 1953125 and not isinstance(z, mpmath.mpf)
+
+
+def test_equal_int_and_fraction_weights_give_values_of_one_type():
+    # equal exact weights share fold cache entries, so they must fold alike
+    fractions = HomogeneousWeights(Q(3), Q(4), Q(5))
+    assert fractions == HomogeneousWeights(3, 4, 5)
+    assert all(type(x) is int for x in (fractions.a, fractions.b, fractions.c))
+    assert type(HomogeneousWeights(Q(3, 2), 4, 5).a) is not int
+    for first, second in ((fractions, HomogeneousWeights(3, 4, 5)),
+                          (HomogeneousWeights(3, 4, 5), fractions)):
+        forward_vectors.cache_clear()
+        backward_vectors.cache_clear()
+        assert type(partition_function(4, first)) is int
+        assert type(partition_function(4, second)) is int
