@@ -1,5 +1,5 @@
-"""Antisymmetrization identities: explicit permutation sums against
-determinant evaluations.
+"""Antisymmetrization identities: permutation sums against determinant
+evaluations.
 
 Two families are certified here.  The trigonometric family antisymmetrizes
 kernels of the weight functions and lands on the inhomogeneous partition
@@ -7,6 +7,13 @@ function determinant; it runs in the float backend.  The rational family
 (the double antisymmetrization over two variable sets, its homogeneous
 and confluent limits, and the exclusion-process degeneration) is closed
 under rational arithmetic and is certified bit-exactly.
+
+The trigonometric sum is taken literally, term by term in the order of
+``perms.antisymmetrize``, so its float value does not change.  The exact
+sums (the double antisymmetrization, the rational and scaled-Vandermonde
+kernels and the exclusion-process left-hand side) are products of position,
+ordered pair and prefix factors, and ``perms.subset_antisymmetrize`` takes
+them over sets of placed indices instead of over orderings.
 
 The recurring right-hand side is the normalized Cauchy-like determinant
 
@@ -26,7 +33,7 @@ from typing import Sequence
 import mpmath
 
 from .algebra.field import ONE, is_exact, qdiv, rational
-from .algebra.perms import antisymmetrize, signed_permutations
+from .algebra.perms import antisymmetrize, subset_antisymmetrize, subset_products
 from .algebra.poly import Poly, det, poly_exact_div, vandermonde, vandermonde_value
 from .algebra.series import SeriesRing, TruncatedSeries
 from .correlations import sym_generating_poly, u_map
@@ -36,7 +43,7 @@ from .izergin_korepin import TrigWeights, ik_inhomogeneous
 from .lattice import HomogeneousWeights, partition_function
 from .report import CheckReport
 
-MAX_DOUBLE_ANTISYM = 6  # (s!)^2 terms; 6 -> 518400
+MAX_DOUBLE_ANTISYM = 6  # C(2s, s) subset-DP states; 6 -> 924
 
 
 def rational_sqrt(value):
@@ -111,17 +118,7 @@ def check_rational_antisymmetrization(zs: Sequence,
     if len(set(us)) != s:
         raise CoincidingParameters("u values coincide")
 
-    def kernel(*zt):
-        val = ONE
-        for j in range(s):
-            uj = u_map(zt[j], t, delta)
-            val = val * uj ** (-(s - 1 - j))
-        for j in range(s):
-            for k in range(j + 1, s):
-                val = val * (t * t * zt[j] * zt[k] - 2 * delta * t * zt[k] + 1)
-        return val
-
-    lhs = antisymmetrize(kernel, list(zs))
+    lhs = _rational_lhs(zs, weights)
     z_s = partition_function(s, weights)
     h_ss = sym_generating_poly(s, s, weights)
     rhs = qdiv(z_s, weights.a ** (s * (s - 1)) * weights.c ** s)
@@ -135,6 +132,18 @@ def check_rational_antisymmetrization(zs: Sequence,
         "antisym.rational_kernel_vs_partition_fn",
         {"s": s, "zs": zs, "weights": (weights.a, weights.b, weights.c)},
         lhs, rhs, exact=True)
+
+
+def _rational_lhs(zs: Sequence, weights: HomogeneousWeights):
+    """The antisymmetrization of prod_j u(z_j)^-(s-1-j) times
+    prod_{j<k} (t^2 z_j z_k - 2 delta t z_k + 1) over the z's."""
+    s = len(zs)
+    t, delta = weights.t, weights.delta
+    us = [u_map(z, t, delta) for z in zs]
+    # 1 / u^k rather than u^-k, which an int u would turn into a float
+    position = [[qdiv(1, u ** (s - 1 - j)) for u in us] for j in range(s)]
+    pair = [[t * t * zj * zk - 2 * delta * t * zk + 1 for zk in zs] for zj in zs]
+    return subset_antisymmetrize([(position, pair)])
 
 
 # -- the normalized Cauchy-like determinant ------------------------------
@@ -192,48 +201,49 @@ def _cauchy_numerator(xs: Sequence, ys: Sequence, tau):
 
 def double_antisym_sum(xs: Sequence, ys: Sequence, tau):
     """The raw double antisymmetrization of the ordered product kernel
-    over both variable sets (no Vandermonde normalization).
+    over both variable sets (no Vandermonde normalization):
+
+        sum over sigma, rho of sign(sigma) sign(rho)
+            prod_j (x_sigma(j) y_rho(j))^(s-1-j) / (1 - prod_{l<=j} x_sigma(l) y_rho(l))
+            prod_{j<k} (x_sigma(j) x_sigma(k) + tau x_sigma(k) + 1)
+                       (y_rho(j) y_rho(k) + tau y_rho(k) + 1).
 
     The values may be scalars or truncated series; a series denominator
-    1 - prod x_l y_l is inverted and must not vanish at its center."""
+    1 - prod x_l y_l is inverted and must not vanish at its center.  The
+    denominator depends only on the two prefix sets, so the subset DP
+    inverts it once per pair of equal-size sets: 19 times at s=3, where
+    the term-by-term sum divided 108 times."""
     s = len(xs)
     if s > MAX_DOUBLE_ANTISYM:
         raise ValueError(f"double antisymmetrization capped at s={MAX_DOUBLE_ANTISYM}")
-    perms = signed_permutations(s)
-    px = [[xs[j] * xs[k] + tau * xs[k] + 1 for k in range(s)] for j in range(s)]
-    py = [[ys[j] * ys[k] + tau * ys[k] + 1 for k in range(s)] for j in range(s)]
-    total = None
-    for sigma in perms:
-        xo = sigma.apply(xs)
-        for rho in perms:
-            yo = rho.apply(ys)
-            term = ONE
-            prod = ONE
-            for j in range(s):
-                prod = prod * xo[j] * yo[j]
-                term = term * (xo[j] * yo[j]) ** (s - 1 - j)
-                term = _divide_by_one_minus(term, prod)
-            for j in range(s):
-                for k in range(j + 1, s):
-                    term = term * px[sigma.images[j] - 1][sigma.images[k] - 1]
-                    term = term * py[rho.images[j] - 1][rho.images[k] - 1]
-            if sigma.sign * rho.sign < 0:
-                term = -term
-            total = term if total is None else total + term
-    return total
+    x_products, y_products = subset_products(xs), subset_products(ys)
+
+    def prefix(x_set, y_set):
+        return _inverse_of_one_minus(x_products[x_set] * y_products[y_set])
+
+    return subset_antisymmetrize(
+        [_ordered_product_tables(xs, tau), _ordered_product_tables(ys, tau)], prefix)
 
 
-def _divide_by_one_minus(term, prod):
-    """term / (1 - prod), refusing a denominator that vanishes (for a
-    series, at its center)."""
+def _ordered_product_tables(vs: Sequence, tau) -> tuple:
+    """The position factors v^(s-1-j) and the pair factors u v + tau v + 1
+    (u before v) of the double antisymmetrization kernel."""
+    s = len(vs)
+    return ([[v ** (s - 1 - j) for v in vs] for j in range(s)],
+            [[u * v + tau * v + 1 for v in vs] for u in vs])
+
+
+def _inverse_of_one_minus(prod):
+    """1 / (1 - prod), refusing a denominator that vanishes (for a series,
+    at its center)."""
     den = 1 - prod
     if isinstance(den, TruncatedSeries):
         if den.constant_term() == 0:
             raise PoleHit("1 - prod x_l y_l vanishes at the series center")
-        return term * den.invert()
+        return den.invert()
     if den == 0:
         raise PoleHit("1 - prod x_l y_l vanishes under a permutation")
-    return qdiv(term, den) if is_exact(den) else term / den
+    return qdiv(1, den) if is_exact(den) else 1 / den
 
 
 def check_double_antisymmetrization(xs: Sequence, ys: Sequence, tau) -> CheckReport:
@@ -417,15 +427,7 @@ def check_scaled_vandermonde_antisym(t, eps: Sequence) -> CheckReport:
     """Antisymmetrizing prod_{j<k} (e_j - t^2 e_k) gives the Vandermonde
     scaled by prod (1 - t^{2j})/(1 - t^2), exactly."""
     s = len(eps)
-
-    def kernel(*es):
-        val = ONE
-        for j in range(s):
-            for k in range(j + 1, s):
-                val = val * (es[j] - t * t * es[k])
-        return val
-
-    lhs = antisymmetrize(kernel, list(eps))
+    lhs = _scaled_vandermonde_lhs(t, eps)
     rhs = ONE
     for j, k in itertools.combinations(range(s), 2):
         rhs = rhs * (eps[j] - eps[k])
@@ -436,29 +438,32 @@ def check_scaled_vandermonde_antisym(t, eps: Sequence) -> CheckReport:
         {"s": s, "t": t, "eps": eps}, lhs, rhs, exact=True)
 
 
+def _scaled_vandermonde_lhs(t, eps: Sequence):
+    """The antisymmetrization of prod_{j<k} (e_j - t^2 e_k) over the e's."""
+    s = len(eps)
+    pair = [[ej - t * t * ek for ek in eps] for ej in eps]
+    return subset_antisymmetrize([([[ONE] * s] * s, pair)])
+
+
 # -- the exclusion-process relation and its derivation --------------------
 
 
 def _asep_lhs(p, zs: Sequence):
+    """The antisymmetrization of prod_j z_j^(s-1-j) / (1 - z_1 ... z_j)
+    times prod_{j<k} (q z_j z_k - z_k + p) over the z's."""
     s = len(zs)
     q = 1 - p
+    products = subset_products(zs)
+    position = [[z ** (s - 1 - j) for z in zs] for j in range(s)]
+    pair = [[q * zj * zk - zk + p for zk in zs] for zj in zs]
 
-    def kernel(*zt):
-        val = ONE
-        prod = ONE
-        for j in range(s):
-            prod = prod * zt[j]
-            den = 1 - prod
-            if den == 0:
-                raise PoleHit("a partial product of z's equals 1")
-            val = val * zt[j] ** (s - 1 - j)
-            val = qdiv(val, den)
-        for j in range(s):
-            for k in range(j + 1, s):
-                val = val * (q * zt[j] * zt[k] - zt[k] + p)
-        return val
+    def prefix(z_set):
+        den = 1 - products[z_set]
+        if den == 0:
+            raise PoleHit("a partial product of z's equals 1")
+        return qdiv(1, den)
 
-    return antisymmetrize(kernel, list(zs))
+    return subset_antisymmetrize([(position, pair)], prefix)
 
 
 def _asep_rhs(p, zs: Sequence):

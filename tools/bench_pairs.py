@@ -16,7 +16,10 @@ Runs are sequential.
 The output holds every run's metrics, each side's median and quartiles
 per metric, and per metric the number of pairs the change won (ties count
 for neither side).  An end-to-end metric improves in the direction that
-``BENCHMARK.json`` declares.
+``BENCHMARK.json`` declares.  A run whose correctness gate failed
+(``"correct": false``) is still measured, but each workload records how
+many runs failed on each side, and the script then exits with status 1.
+The temporary parent tree is removed however the script ends.
 """
 
 from __future__ import annotations
@@ -37,13 +40,20 @@ PAIRS = 10
 UNGATED = ("contour-float",)   # the float path; perfbench runs it by name
 
 
-def extract(base: str) -> Path:
-    """The committed tree of ``base``, written into a new temporary directory."""
+def extract(base: str) -> tuple:
+    """(directory, commit): the committed tree of ``base``, written into a
+    new temporary directory, and the commit it names."""
+    rev = subprocess.run(["git", "rev-parse", base], cwd=ROOT, check=True,
+                         capture_output=True, text=True).stdout.strip()
     parent_dir = Path(tempfile.mkdtemp(prefix="icelab-parent-"))
-    archive = subprocess.run(["git", "archive", base], cwd=ROOT, check=True,
-                             capture_output=True).stdout
-    subprocess.run(["tar", "-x", "-C", str(parent_dir)], input=archive, check=True)
-    return parent_dir
+    try:
+        archive = subprocess.run(["git", "archive", rev], cwd=ROOT, check=True,
+                                 capture_output=True).stdout
+        subprocess.run(["tar", "-x", "-C", str(parent_dir)], input=archive, check=True)
+    except BaseException:
+        shutil.rmtree(parent_dir, ignore_errors=True)
+        raise
+    return parent_dir, rev
 
 
 def bench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -66,21 +76,12 @@ def summary(values: list) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--out", required=True, type=Path)
-    parser.add_argument("--seed", type=int, required=True,
-                        help="seed of pair 0; pair i uses seed + i")
-    parser.add_argument("--base", default="HEAD", help="git revision of the parent")
-    ns = parser.parse_args(argv)
-
-    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+def run_pairs(parent: Path, base_rev: str, spec: dict, seed: int, out_path: Path) -> int:
+    """Run the pairs of every workload, rewriting ``out_path`` after each
+    workload; the number of runs whose correctness gate failed."""
     metrics = {m["name"]: m["better"] for m in spec["end_to_end"]}
     gated = [w["name"] for w in spec["workloads"]]
-    parent = extract(ns.base)
-    base_rev = subprocess.run(["git", "rev-parse", ns.base], cwd=ROOT, check=True,
-                              capture_output=True, text=True).stdout.strip()
-
+    failed = 0
     out = {"about": "Alternating perfbench pairs, parent tree against working tree; "
                     "see tools/bench_pairs.py.",
            "parent": base_rev,
@@ -91,15 +92,18 @@ def main(argv=None) -> int:
     for workload in [*gated, *UNGATED]:
         runs = {"parent": [], "change": []}
         for i in range(PAIRS):
-            seed = ns.seed + i
+            pair_seed = seed + i
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             for side in order:
                 tree = parent if side == "parent" else ROOT
-                runs[side].append(bench(tree, workload, seed, spec["run_seconds"]))
+                runs[side].append(bench(tree, workload, pair_seed, spec["run_seconds"]))
                 print(f"{workload} pair {i} {side}: "
                       + " ".join(f"{m}={runs[side][-1][m]:.4g}" for m in metrics),
                       file=sys.stderr, flush=True)
-        entry = {"gated": workload in gated, "runs": runs,
+        failed_runs = {side: sum(not r["correct"] for r in side_runs)
+                       for side, side_runs in runs.items()}
+        failed += sum(failed_runs.values())
+        entry = {"gated": workload in gated, "failed_runs": failed_runs, "runs": runs,
                  "parent": {}, "change": {}, "change_wins": {}}
         for name, better in metrics.items():
             for side in ("parent", "change"):
@@ -109,8 +113,29 @@ def main(argv=None) -> int:
                 sign * (p[name] - c[name]) > 0
                 for p, c in zip(runs["parent"], runs["change"]))
         out["workloads"][workload] = entry
-        ns.out.write_text(json.dumps(out, indent=1) + "\n")
-    shutil.rmtree(parent)
+        out_path.write_text(json.dumps(out, indent=1) + "\n")
+    return failed
+
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--out", required=True, type=Path)
+    parser.add_argument("--seed", type=int, required=True,
+                        help="seed of pair 0; pair i uses seed + i")
+    parser.add_argument("--base", default="HEAD", help="git revision of the parent")
+    ns = parser.parse_args(argv)
+
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    parent, base_rev = extract(ns.base)
+    try:
+        failed = run_pairs(parent, base_rev, spec, ns.seed, ns.out)
+    finally:
+        shutil.rmtree(parent, ignore_errors=True)
+    if failed:
+        print(f"{failed} runs failed their correctness gate; see failed_runs in "
+              f"{ns.out}", file=sys.stderr)
+        return 1
     return 0
 
 
