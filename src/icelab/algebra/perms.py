@@ -2,9 +2,9 @@
 
 The antisymmetrizer of a function f over an ordered argument tuple is
 sum_sigma sign(sigma) * f(args permuted by sigma).  ``antisymmetrize``
-evaluates it literally, s! calls of f over a cached permutation stream;
-it works for any kernel and keeps the summation order of the permutation
-stream, which float sums depend on.
+evaluates it literally, s! calls of f in the lexicographic order of
+``itertools.permutations``; it works for any kernel and keeps that
+summation order, which float sums depend on.
 
 Every exact identity kernel has a shape that lets the sum be taken over
 sets instead of orderings.  ``subset_antisymmetrize`` takes the signed
@@ -12,36 +12,19 @@ sum over one ordering of 0..s-1 per index set (one or two sets) of a
 product of position factors, ordered pair factors and prefix factors.
 It walks a dynamic program over the bitmasks of used indices, in the
 manner of Held & Karp (1962): C(2s, s) states for two sets and 2^s for
-one, against (s!)^2 and s! terms.
+one, against (s!)^2 and s! terms.  ``subset_products`` indexes the
+product of every subset by its bitmask, for prefix factors and for
+``identities.subset_products_avoid_one``.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Sequence
 
 from .field import ONE
 
 MAX_SIZE = 7  # 7! = 5040 summands
-
-
-@dataclass(frozen=True)
-class Permutation:
-    """Images of 1..s under a bijection, with its parity sign."""
-
-    images: tuple
-    sign: int
-
-    def __post_init__(self):
-        if sorted(self.images) != list(range(1, len(self.images) + 1)):
-            raise ValueError("images must be a bijection of 1..s")
-        if self.sign != parity(self.images):
-            raise ValueError("sign does not match the permutation parity")
-
-    def apply(self, values: Sequence):
-        return tuple(values[i - 1] for i in self.images)
 
 
 def parity(images: Sequence[int]) -> int:
@@ -53,17 +36,9 @@ def parity(images: Sequence[int]) -> int:
     return -1 if inv % 2 else 1
 
 
-@lru_cache(maxsize=None)
-def signed_permutations(s: int) -> tuple:
-    """All (images, sign) pairs for S_s, in lexicographic image order."""
-    return tuple(
-        Permutation(images, parity(images))
-        for images in itertools.permutations(range(1, s + 1))
-    )
-
-
 def antisymmetrize(f: Callable, values: Sequence):
-    """sum over sigma of sign(sigma) * f(*values permuted by sigma).
+    """sum over sigma of sign(sigma) * f(*values permuted by sigma), with
+    sigma in lexicographic order.
 
     Works for any value type with ring arithmetic: scalars, polynomials,
     or truncated series.
@@ -71,11 +46,10 @@ def antisymmetrize(f: Callable, values: Sequence):
     s = len(values)
     if s > MAX_SIZE:
         raise ValueError(f"antisymmetrization over {s} > {MAX_SIZE} variables")
-    perms = signed_permutations(s)
     total = None
-    for perm in perms:
-        term = f(*perm.apply(values))
-        if perm.sign < 0:
+    for images in itertools.permutations(range(s)):
+        term = f(*(values[i] for i in images))
+        if parity(images) < 0:
             term = -term
         total = term if total is None else total + term
     return total

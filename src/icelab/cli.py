@@ -14,6 +14,7 @@ import json
 import os
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import mpmath
@@ -142,29 +143,31 @@ class _Runner:
         self.exact = config.backend == "exact"
         self.reports: list[CheckReport] = []
 
-    def compare(self, check_id, params, lhs, rhs, *, exact=None, tolerance=None):
+    def compare(self, check_id, params, lhs, rhs, *, exact=None):
         exact = self.exact if exact is None else exact
-        report = CheckReport.from_comparison(
+        self.reports.append(CheckReport.from_comparison(
             check_id, params, lhs, rhs, exact=exact,
-            tolerance=self.config.tolerance if tolerance is None else tolerance)
-        self.reports.append(report)
-        return report
+            tolerance=self.config.tolerance))
 
-    def guard(self, check_id, params, fn):
-        """Run a check body; any error becomes a fail report.  The body's
-        time goes to the last report it appended, if it appended any."""
+    def add(self, report: CheckReport, draw=None):
+        """Append a check's own report, stamped with its draw if given."""
+        if draw is not None:
+            report.params["draw"] = str(draw)
+        self.reports.append(report)
+
+    @contextmanager
+    def guard(self, check_id, **params):
+        """Run the body of the with-block as one check; an error becomes a
+        fail report with the given params.  The body's time goes to the last
+        report it appended, if it appended any."""
         start = time.monotonic()
         before = len(self.reports)
         try:
-            result = fn()
-            if isinstance(result, CheckReport):
-                self.reports.append(result)
+            yield
         except Exception as exc:  # never crash the runner
             self.reports.append(CheckReport.from_error(check_id, params, exc))
-            result = None
         if len(self.reports) > before:
             self.reports[-1].elapsed_ms = int(1000 * (time.monotonic() - start))
-        return result
 
     def triples(self, rng: DeterministicRng, count: int):
         """(draw, (a, b, c)) weight triples for a suite: explicit overrides,
@@ -182,7 +185,7 @@ class _Runner:
 def _suite_partition(run: _Runner, rng: DeterministicRng):
     cfg = run.config
     for draw, spec in run.triples(rng, min(cfg.draws, 5)):
-        def body(spec=spec, draw=draw):
+        with run.guard("partition.transfer_vs_brute", draw=draw):
             w = lattice.HomogeneousWeights(*spec)
             for n in range(1, min(cfg.n_max, 4) + 1):
                 run.compare("partition.transfer_vs_brute",
@@ -193,11 +196,10 @@ def _suite_partition(run: _Runner, rng: DeterministicRng):
                         {"draw": draw, "n": cfg.n_max, "weights": spec},
                         lattice.partition_function(cfg.n_max, w),
                         lattice.partition_function_bottom_up(cfg.n_max, w))
-        run.guard("partition.transfer_vs_brute", {"draw": draw}, body)
 
     for draw in range(cfg.draws):
         lams, nus, eta = trig_parameters(rng, min(cfg.n_max, 5))
-        def inhom(lams=lams, nus=nus, eta=eta, draw=draw):
+        with run.guard("partition.inhomogeneous_det_vs_transfer", draw=draw):
             for n in range(1, min(cfg.n_max, 5) + 1):
                 run.compare(
                     "partition.inhomogeneous_det_vs_transfer",
@@ -215,10 +217,9 @@ def _suite_partition(run: _Runner, rng: DeterministicRng):
                     izergin_korepin.ik_inhomogeneous(lams[:n], nus[:n], eta),
                     izergin_korepin.ik_inhomogeneous(swapped, nus[:n], eta),
                     exact=False)
-        run.guard("partition.inhomogeneous_det_vs_transfer", {"draw": draw}, inhom)
 
         lam0 = rng.uniform(mpmath.mpf("0.95"), mpmath.mpf("1.8"))
-        def hom(lams=lams, eta=eta, lam0=lam0, draw=draw):
+        with run.guard("partition.homogeneous_det_vs_transfer", draw=draw):
             for n in range(1, min(cfg.n_max, 6) + 1):
                 w = lattice.weights_from_trig(lam0, eta)
                 run.compare(
@@ -228,16 +229,14 @@ def _suite_partition(run: _Runner, rng: DeterministicRng):
                     lattice.partition_function(n, w),
                     exact=False)
             n = min(cfg.n_max, 5)
-            run.reports.append(izergin_korepin.partial_inhomogeneous_relation(
-                lams[:n], lam0, eta, tolerance=cfg.tolerance))
-            run.reports[-1].params["draw"] = str(draw)
-        run.guard("partition.homogeneous_det_vs_transfer", {"draw": draw}, hom)
+            run.add(izergin_korepin.partial_inhomogeneous_relation(
+                lams[:n], lam0, eta, tolerance=cfg.tolerance), draw)
 
 
 def _suite_boundary(run: _Runner, rng: DeterministicRng):
     cfg = run.config
     for draw, spec in run.triples(rng, min(cfg.draws, 5)):
-        def body(spec=spec, draw=draw):
+        with run.guard("boundary.sum_rule", draw=draw):
             w = lattice.HomogeneousWeights(*spec)
             for n in range(1, cfg.n_max + 1):
                 total = sum(lattice.boundary_correlation(n, w, r)
@@ -257,41 +256,39 @@ def _suite_boundary(run: _Runner, rng: DeterministicRng):
                         for st in lattice.flux_sector_states(n, s))
                     run.compare("boundary.cut_completeness",
                                 {"draw": draw, "n": n, "s": s}, total, z)
-        run.guard("boundary.sum_rule", {"draw": draw}, body)
-    def equal_ab():
+    with run.guard("boundary.equal_weights_split"):
         w = lattice.HomogeneousWeights(rational(2), rational(2), rational(3))
         run.compare("boundary.equal_weights_split", {"n": 2},
                     (lattice.boundary_correlation(2, w, 1),
                      lattice.boundary_correlation(2, w, 2)),
                     (rational(1, 2), rational(1, 2)), exact=True)
-    run.guard("boundary.equal_weights_split", {}, equal_ab)
 
 
 def _suite_generating(run: _Runner, rng: DeterministicRng):
     cfg = run.config
     n_top = min(cfg.n_max, 6)
+    tol = 0.0 if run.exact else cfg.tolerance
+
+    def poly_check(check_id, params, got, want):
+        if run.exact:
+            run.compare(check_id, params, got, want, exact=True)
+            return
+        err = poly_max_rel_err(got, want)
+        run.add(CheckReport(
+            check_id=check_id,
+            params={k: str(v) for k, v in params.items()},
+            status="pass" if err <= cfg.tolerance else "fail",
+            lhs=f"coefficient deviation {err:.3e}",
+            rhs=f"tolerance {cfg.tolerance:.3e}",
+            discrepancy="0" if err == 0 else f"{err:.3e}"))
+
     for draw, spec in run.triples(rng, min(cfg.draws, 5)):
-        def body(spec=spec, draw=draw):
+        with run.guard("generating.normalization", draw=draw):
             w = lattice.HomogeneousWeights(*spec)
             for n in range(1, cfg.n_max + 1):
                 gf = correlations.boundary_generating_fn(n, w)
                 run.compare("generating.normalization",
                             {"draw": draw, "n": n}, gf.eval(ONE), ONE)
-            tol = 0.0 if run.exact else cfg.tolerance
-
-            def poly_check(check_id, params, got, want):
-                if run.exact:
-                    run.compare(check_id, params, got, want, exact=True)
-                    return
-                err = poly_max_rel_err(got, want)
-                run.reports.append(CheckReport(
-                    check_id=check_id,
-                    params={k: str(v) for k, v in params.items()},
-                    status="pass" if err <= cfg.tolerance else "fail",
-                    lhs=f"coefficient deviation {err:.3e}",
-                    rhs=f"tolerance {cfg.tolerance:.3e}",
-                    discrepancy="0" if err == 0 else f"{err:.3e}"))
-
             for n in range(1, n_top + 1):
                 poly_check("generating.single_row_consistency",
                            {"draw": draw, "n": n},
@@ -310,13 +307,12 @@ def _suite_generating(run: _Runner, rng: DeterministicRng):
                         if s > 1 else Poly.const(ONE, reduced.vars)
                     poly_check("generating.reduction",
                                {"draw": draw, "n": n, "s": s}, reduced, target)
-        run.guard("generating.normalization", {"draw": draw}, body)
 
 
 def _suite_efp(run: _Runner, rng: DeterministicRng):
     cfg = run.config
     for draw, spec in run.triples(rng, min(cfg.draws, 4)):
-        def body(spec=spec, draw=draw):
+        with run.guard("efp.quadrangle", draw=draw):
             w = lattice.HomogeneousWeights(*spec)
             for n in range(1, cfg.n_max + 1):
                 for r in range(1, n + 1):
@@ -337,26 +333,24 @@ def _suite_efp(run: _Runner, rng: DeterministicRng):
                                     correlations.efp_contour_double(n, r, s, w),
                                     lattice.efp_enum(n, r, s, w))
             n = min(cfg.n_max, 4)
+            s = min(2, n, cfg.s_max)
             run.compare("efp.truncation_stability",
-                        {"draw": draw, "n": n, "r": n, "s": 2},
-                        correlations.efp_contour_sym(n, n, 2, w),
-                        correlations.efp_contour_sym(n, n, 2, w, extra_order=2))
-        run.guard("efp.quadrangle", {"draw": draw}, body)
+                        {"draw": draw, "n": n, "r": n, "s": s},
+                        correlations.efp_contour_sym(n, n, s, w),
+                        correlations.efp_contour_sym(n, n, s, w, extra_order=2))
 
     for s in range(1, min(3, cfg.s_max) + 1):
         for r in (2, 3):
-            run.guard("efp.ordered_geometric_sum", {"s": s, "r": r}, lambda s=s, r=r: (
-                correlations.check_ordered_geometric_sum(s, r, 8)))
-            run.guard("efp.ordered_geometric_sum_stability", {"s": s, "r": r},
-                      lambda s=s, r=r: correlations.check_ordered_geometric_sum(
-                          s, r, 8, cutoff=10))
+            with run.guard("efp.ordered_geometric_sum", s=s, r=r):
+                run.add(correlations.check_ordered_geometric_sum(s, r, 8))
+            with run.guard("efp.ordered_geometric_sum_stability", s=s, r=r):
+                run.add(correlations.check_ordered_geometric_sum(s, r, 8, cutoff=10))
     for draw in range(min(cfg.draws, 5)):
         for s in range(1, min(4, cfg.s_max) + 1):
             phi = _random_symmetric_poly(rng, s)
             w_pt = rng.rational()
-            run.guard("efp.symmetric_residue_collapse", {"draw": draw, "s": s},
-                      lambda s=s, phi=phi, w_pt=w_pt:
-                      correlations.check_symmetric_residue_collapse(s, phi, w_pt))
+            with run.guard("efp.symmetric_residue_collapse", draw=draw, s=s):
+                run.add(correlations.check_symmetric_residue_collapse(s, phi, w_pt))
 
 
 def _random_symmetric_poly(rng: DeterministicRng, s: int) -> Poly:
@@ -378,7 +372,7 @@ def _suite_rcp(run: _Runner, rng: DeterministicRng):
     cfg = run.config
     n_top = min(cfg.n_max, 4)
     for draw, spec in run.triples(rng, min(cfg.draws, 4)):
-        def body(spec=spec, draw=draw):
+        with run.guard("rcp.bottom_integral_vs_enum", draw=draw):
             w = lattice.HomogeneousWeights(*spec)
             for n in range(1, n_top + 1):
                 z = lattice.partition_function(n, w)
@@ -409,7 +403,6 @@ def _suite_rcp(run: _Runner, rng: DeterministicRng):
                             {"draw": draw, "n": n_top, "pos": pos},
                             correlations.zbot_contour(n_top, len(pos), pos, w),
                             0 * ONE)
-        run.guard("rcp.bottom_integral_vs_enum", {"draw": draw}, body)
 
 
 def _suite_antisym(run: _Runner, rng: DeterministicRng):
@@ -417,68 +410,46 @@ def _suite_antisym(run: _Runner, rng: DeterministicRng):
     for draw in range(cfg.draws):
         for s in range(1, min(cfg.s_max, 5) + 1):
             lams, nus, eta = trig_parameters(rng, s)
-            run.guard("antisym.trig_kernel_vs_determinant",
-                      {"draw": draw, "s": s},
-                      lambda l=lams, n=nus, e=eta: _stamp(
-                          identities.check_trig_antisymmetrization(
-                              l, n, e, tolerance=cfg.tolerance), draw))
+            with run.guard("antisym.trig_kernel_vs_determinant", draw=draw, s=s):
+                run.add(identities.check_trig_antisymmetrization(
+                    lams, nus, eta, tolerance=cfg.tolerance), draw)
         for s in range(1, min(cfg.s_max, 4) + 1):
             lams, nus, eta, zeta = trig_parameters(rng, s, with_zeta=True)
             zeta2 = zeta + mpmath.mpf("0.11")
-            run.guard("antisym.cauchy_ratio_vs_partition_fn",
-                      {"draw": draw, "s": s},
-                      lambda l=lams, n=nus, e=eta, z=zeta, z2=zeta2: _stamp(
-                          identities.check_w_matches_partition_fn(
-                              l, n, e, z, z2, tolerance=cfg.tolerance), draw))
+            with run.guard("antisym.cauchy_ratio_vs_partition_fn", draw=draw, s=s):
+                run.add(identities.check_w_matches_partition_fn(
+                    lams, nus, eta, zeta, zeta2, tolerance=cfg.tolerance), draw)
         for s in range(1, min(cfg.s_max, 4) + 1):
             w = weight_triple(rng)
             a = w.t * w.t - 2 * w.delta * w.t
             zs = distinct_rationals(
                 rng, s, accept_each=lambda v: v != 1 and (a * v + 1) != 0)
-            run.guard("antisym.rational_kernel_vs_partition_fn",
-                      {"draw": draw, "s": s},
-                      lambda zs=zs, w=w: _stamp(
-                          identities.check_rational_antisymmetrization(zs, w),
-                          draw))
+            with run.guard("antisym.rational_kernel_vs_partition_fn", draw=draw, s=s):
+                run.add(identities.check_rational_antisymmetrization(zs, w), draw)
         for s in range(1, min(cfg.s_max, 5) + 1):
             tau = rng.rational()
             xs = distinct_rationals(rng, s)
             ys = distinct_rationals(
                 rng, s,
-                accept_tuple=lambda ys, xs=xs: _double_antisym_admissible(xs, ys, tau))
-            run.guard("antisym.double_antisymmetrization",
-                      {"draw": draw, "s": s},
-                      lambda xs=xs, ys=ys, tau=tau: _stamp(
-                          identities.check_double_antisymmetrization(xs, ys, tau),
-                          draw))
+                accept_tuple=lambda ys: _double_antisym_admissible(xs, ys, tau))
+            with run.guard("antisym.double_antisymmetrization", draw=draw, s=s):
+                run.add(identities.check_double_antisymmetrization(xs, ys, tau), draw)
         for s in range(1, min(cfg.s_max, 3) + 1):
             w = weight_triple(rng)
             zs = _homogeneous_cauchy_points(rng, s, w)
-            run.guard("antisym.cauchy_homogeneous_vs_confluent",
-                      {"draw": draw, "s": s},
-                      lambda zs=zs, w=w, s=s, draw=draw: CheckReport.from_comparison(
-                          "antisym.cauchy_homogeneous_vs_confluent",
-                          {"draw": draw, "s": s},
-                          identities.cauchy_ratio_homogeneous(zs, w),
-                          identities.cauchy_ratio_confluent(
-                              tuple(w.t * z for z in zs),
-                              rational(1) / w.t, -2 * w.delta),
-                          exact=True))
-
-
-def _stamp(report: CheckReport, draw: int) -> CheckReport:
-    report.params["draw"] = str(draw)
-    return report
+            with run.guard("antisym.cauchy_homogeneous_vs_confluent", draw=draw, s=s):
+                run.compare("antisym.cauchy_homogeneous_vs_confluent",
+                            {"draw": draw, "s": s},
+                            identities.cauchy_ratio_homogeneous(zs, w),
+                            identities.cauchy_ratio_confluent(
+                                tuple(w.t * z for z in zs), rational(1) / w.t,
+                                -2 * w.delta),
+                            exact=True)
 
 
 def _double_antisym_admissible(xs, ys, tau) -> bool:
-    if not identities.subset_products_avoid_one(xs, ys):
-        return False
-    for x in xs:
-        for y in ys:
-            if 1 - x * y == 0 or x + y + tau * x * y == 0:
-                return False
-    return True
+    return identities.subset_products_avoid_one(xs, ys) and all(
+        1 - x * y != 0 and x + y + tau * x * y != 0 for x in xs for y in ys)
 
 
 def _homogeneous_cauchy_points(rng, s, w):
@@ -500,33 +471,22 @@ def _suite_tracy_widom(run: _Runner, rng: DeterministicRng):
     for draw in range(cfg.draws):
         for s in range(1, min(cfg.s_max, 5) + 1):
             p, zs = asep_parameters(rng, s)
-            run.guard("tracy-widom.asep_antisymmetrization",
-                      {"draw": draw, "s": s},
-                      lambda p=p, zs=zs: _stamp(
-                          identities.check_asep_antisymmetrization(p, zs), draw))
+            with run.guard("tracy-widom.asep_antisymmetrization", draw=draw, s=s):
+                run.add(identities.check_asep_antisymmetrization(p, zs), draw)
         for s in range(1, min(cfg.s_max + 1, 6) + 1):
             t = rng.sample_until(rng.rational, lambda v: v != 1, "t")
             eps = distinct_rationals(rng, s)
-            run.guard("tracy-widom.scaled_vandermonde_antisym",
-                      {"draw": draw, "s": s},
-                      lambda t=t, eps=eps: _stamp(
-                          identities.check_scaled_vandermonde_antisym(t, eps),
-                          draw))
+            with run.guard("tracy-widom.scaled_vandermonde_antisym", draw=draw, s=s):
+                run.add(identities.check_scaled_vandermonde_antisym(t, eps), draw)
         for s in range(1, min(cfg.s_max, 5) + 1):
             t = rng.sample_until(rng.rational, lambda v: v != 1, "t")
-            zs = distinct_rationals(
-                rng, s, accept_each=lambda z, t=t: t * t * z != 1)
-            run.guard("tracy-widom.confluent_det_vandermonde",
-                      {"draw": draw, "s": s},
-                      lambda t=t, zs=zs: _stamp(
-                          identities.check_confluent_det_vandermonde(t, zs),
-                          draw))
+            zs = distinct_rationals(rng, s, accept_each=lambda z: t * t * z != 1)
+            with run.guard("tracy-widom.confluent_det_vandermonde", draw=draw, s=s):
+                run.add(identities.check_confluent_det_vandermonde(t, zs), draw)
         for s in range(1, min(cfg.s_max, 3) + 1):
             p, zs = asep_parameters(rng, s)
-            run.guard("tracy-widom.double_antisym_degeneration",
-                      {"draw": draw, "s": s},
-                      lambda p=p, zs=zs: _stamp(
-                          identities.check_degeneration_to_asep(p, zs), draw))
+            with run.guard("tracy-widom.double_antisym_degeneration", draw=draw, s=s):
+                run.add(identities.check_degeneration_to_asep(p, zs), draw)
 
 
 _SUITE_FNS = {
@@ -602,11 +562,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    try:
-        exit_code, reports = run(config)
-    except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
+    exit_code, reports = run(config)
     print(summarize(reports))
     if config.output_path:
         print(f"report written to {config.output_path}")

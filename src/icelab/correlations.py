@@ -85,9 +85,7 @@ def boundary_generating_fn(n: int, weights: WeightSpec) -> GeneratingFunction:
     if isinstance(weights, HomogeneousWeights) and weights.exact:
         weights = weights.integer_scaled()
     nums, z = _h_numerators(n, weights)
-    if is_exact(z):
-        return GeneratingFunction(n, tuple(qdiv(num, z) for num in nums))
-    return GeneratingFunction(n, tuple(num / z for num in nums))
+    return GeneratingFunction(n, tuple(qdiv(num, z) for num in nums))
 
 
 # -- the symmetric generating polynomial -------------------------------
@@ -233,11 +231,7 @@ def sym_generating_at(n: int, s: int, points: Sequence, weights: WeightSpec):
     matrix = [[(points[k] ** (s - j)) * ((points[k] - 1) ** (j - 1))
                * hs[j - 1].eval(points[k])
                for k in range(s)] for j in range(1, s + 1)]
-    return _ratio(det(matrix), vandermonde_value(points))
-
-
-def _ratio(num, den):
-    return qdiv(num, den) if is_exact(num) and is_exact(den) else num / den
+    return qdiv(det(matrix), vandermonde_value(points))
 
 
 # -- the variable change used by the symmetric representation ----------
@@ -251,7 +245,7 @@ def u_map(z, t, delta):
     den = a * z + 1
     if den == 0:
         raise PoleHit(f"u(z) has a pole at z={z}")
-    return _ratio(-(z - 1), den)
+    return qdiv(-(z - 1), den)
 
 
 # -- residue machinery -------------------------------------------------
@@ -381,18 +375,14 @@ def _substitute(p: Poly, ring: SeriesRing, variables: Sequence[str],
 # -- emptiness formation probability: three contour forms ---------------
 
 
-def _hom_parameters(weights: HomogeneousWeights):
-    return weights.t, weights.delta
-
-
 def efp_contour_asym(n: int, r: int, s: int, weights: HomogeneousWeights,
-                     var_order=None, extra_order: int = 0):
+                     extra_order: int = 0):
     """EFP as an s-fold integral around 0 with a non-symmetric integrand."""
     if s == 0:
         return ONE
     if not 1 <= r <= n:
         raise PositionsOutOfRange(f"r={r} outside 1..{n}")
-    t, delta = _hom_parameters(weights)
+    t, delta = weights.t, weights.delta
     a = t * t - 2 * delta * t
     zs = [Poly.variable(_zvar(j)) for j in range(1, s + 1)]
     factors: list = []
@@ -408,20 +398,19 @@ def efp_contour_asym(n: int, r: int, s: int, weights: HomogeneousWeights,
             factors.append((zj * zk * (t * t) - zj * (2 * delta * t) + 1, -1))
     factors.append(sym_generating_poly(n, s, weights))
     specs = [ResidueSpec(_zvar(j), 0, r - 1) for j in range(1, s + 1)]
-    value = iterated_residue(factors, specs, var_order=var_order,
-                             extra_order=extra_order)
+    value = iterated_residue(factors, specs, extra_order=extra_order)
     return value if s % 2 == 0 else -value
 
 
 def efp_contour_sym(n: int, r: int, s: int, weights: HomogeneousWeights,
-                    var_order=None, extra_order: int = 0):
+                    extra_order: int = 0):
     """EFP as the symmetrized s-fold integral with the s x s partition
     function and the u-transformed generating polynomial."""
     if s == 0:
         return ONE
     if not 1 <= r <= n:
         raise PositionsOutOfRange(f"r={r} outside 1..{n}")
-    t, delta = _hom_parameters(weights)
+    t, delta = weights.t, weights.delta
     a = t * t - 2 * delta * t
     z_s = partition_function(s, weights)
     specs = [ResidueSpec(_zvar(j), 0, r - 1) for j in range(1, s + 1)]
@@ -443,14 +432,14 @@ def efp_contour_sym(n: int, r: int, s: int, weights: HomogeneousWeights,
     factors.append(sym_generating_poly(n, s, weights))
     h_ss = _compose_poly(sym_generating_poly(s, s, weights), ring, u_series)
     value = iterated_residue(factors, specs, extra_series=[h_ss], ring=ring,
-                             var_order=var_order, extra_order=extra_order)
+                             extra_order=extra_order)
     sign = -1 if (s + s * (s - 1) // 2) % 2 else 1
-    pref = _ratio(z_s, weights.a ** (s * (s - 1)) * weights.c ** s)
+    pref = qdiv(z_s, weights.a ** (s * (s - 1)) * weights.c ** s)
     return qdiv(sign, math.factorial(s)) * pref * value
 
 
 def efp_contour_cauchy(n: int, r: int, s: int, weights: HomogeneousWeights,
-                       var_order=None, extra_order: int = 0):
+                       extra_order: int = 0):
     """EFP in the form obtained after integrating out one variable set:
     the x-integrand carries the homogeneous-limit Cauchy-determinant
     ratio, expanded through the u-transformed generating polynomial."""
@@ -458,7 +447,7 @@ def efp_contour_cauchy(n: int, r: int, s: int, weights: HomogeneousWeights,
         return ONE
     if not 1 <= r <= n:
         raise PositionsOutOfRange(f"r={r} outside 1..{n}")
-    t, delta = _hom_parameters(weights)
+    t, delta = weights.t, weights.delta
     z_s = partition_function(s, weights)
     specs = [ResidueSpec(f"x{j}", 0, r - 1) for j in range(1, s + 1)]
     ring = residue_ring(specs, extra_order)
@@ -480,21 +469,21 @@ def efp_contour_cauchy(n: int, r: int, s: int, weights: HomogeneousWeights,
     h_ns = sym_generating_poly(n, s, weights)
     h_ns = h_ns.rename_vars({_zvar(j): f"x{j}" for j in range(1, s + 1)})
     for j in range(1, s + 1):
-        h_ns = h_ns.scale_var(f"x{j}", qdiv(1, t) if is_exact(t) else 1 / t)
+        h_ns = h_ns.scale_var(f"x{j}", qdiv(1, t))
     factors.append(h_ns)
     h_ss = _compose_poly(sym_generating_poly(s, s, weights), ring, u_series)
     value = iterated_residue(factors, specs, extra_series=[h_ss], ring=ring,
-                             var_order=var_order, extra_order=extra_order)
+                             extra_order=extra_order)
     # scalars: t^{s(r-1)} / s! from the formula, (-1)^{s(s-1)/2} from the
     # ordered pair product, (-1)^s Z_s t^{s^2} / (c^s b^{s(s-1)}) from the
     # homogeneous Cauchy ratio
     sign = -1 if (s + s * (s - 1) // 2) % 2 else 1
-    pref = _ratio(z_s, weights.c ** s * weights.b ** (s * (s - 1)))
+    pref = qdiv(z_s, weights.c ** s * weights.b ** (s * (s - 1)))
     return qdiv(sign, math.factorial(s)) * t ** (s * (r - 1) + s * s) * pref * value
 
 
 def efp_contour_double(n: int, r: int, s: int, weights: HomogeneousWeights,
-                       var_order=None, extra_order: int = 0):
+                       extra_order: int = 0):
     """EFP as the 2s-fold integral over both variable sets, after the
     ordered geometric summation: x-contours around 0, y-contours around
     1/t.  Intended for small s; the joint expansion cost grows quickly."""
@@ -504,8 +493,8 @@ def efp_contour_double(n: int, r: int, s: int, weights: HomogeneousWeights,
         raise PositionsOutOfRange(f"r={r} outside 1..{n}")
     if any(r - s + j - 1 < 0 for j in range(1, s + 1)):
         return 0 * ONE
-    t, delta = _hom_parameters(weights)
-    inv_t = qdiv(1, t) if is_exact(t) else 1 / t
+    t, delta = weights.t, weights.delta
+    inv_t = qdiv(1, t)
     specs = [ResidueSpec(f"x{j}", 0, r - s + j - 1) for j in range(1, s + 1)]
     specs += [ResidueSpec(f"y{j}", inv_t, s - 1) for j in range(1, s + 1)]
     factors: list = []
@@ -530,8 +519,7 @@ def efp_contour_double(n: int, r: int, s: int, weights: HomogeneousWeights,
         h_ns = h_ns.scale_var(f"x{j}", inv_t)
     factors.append(h_ns)
     try:
-        value = iterated_residue(factors, specs, var_order=var_order,
-                                 extra_order=extra_order)
+        value = iterated_residue(factors, specs, extra_order=extra_order)
     except ZeroConstantTerm as exc:
         raise PoleCollision(
             "a factor declared analytic vanishes on a contour center; "
@@ -543,8 +531,7 @@ def efp_contour_double(n: int, r: int, s: int, weights: HomogeneousWeights,
 
 
 def zbot_contour(n: int, s: int, positions: Sequence[int],
-                 weights: HomogeneousWeights, var_order=None,
-                 extra_order: int = 0):
+                 weights: HomogeneousWeights, extra_order: int = 0):
     """Bottom partition function as an s-fold integral around 0.
 
     Positions must be strictly increasing; nonpositive entries are
@@ -558,7 +545,7 @@ def zbot_contour(n: int, s: int, positions: Sequence[int],
         raise PositionsOutOfRange(f"expected {s} positions")
     if positions[0] <= 0:
         return 0 * ONE
-    t, delta = _hom_parameters(weights)
+    t, delta = weights.t, weights.delta
     factors: list = []
     for j in range(1, s + 1):
         for k in range(j + 1, s + 1):
@@ -568,18 +555,16 @@ def zbot_contour(n: int, s: int, positions: Sequence[int],
     factors.append(sym_generating_poly(n, s, weights))
     specs = [ResidueSpec(_zvar(j), 0, positions[j - 1] - 1)
              for j in range(1, s + 1)]
-    value = iterated_residue(factors, specs, var_order=var_order,
-                             extra_order=extra_order)
+    value = iterated_residue(factors, specs, extra_order=extra_order)
     pref = partition_function(n, weights)
-    pref = _ratio(pref, weights.a ** (s * (n - 1)) * weights.c ** s)
+    pref = qdiv(pref, weights.a ** (s * (n - 1)) * weights.c ** s)
     for j in range(1, s + 1):
         pref = pref * t ** (j - positions[j - 1])
     return pref * value
 
 
 def ztop_contour(n: int, s: int, positions: Sequence[int],
-                 weights: HomogeneousWeights, var_order=None,
-                 extra_order: int = 0):
+                 weights: HomogeneousWeights, extra_order: int = 0):
     """Top partition function as an s-fold integral around 1; the
     integrand is polynomial apart from the declared order-s poles."""
     if s == 0:
@@ -587,7 +572,7 @@ def ztop_contour(n: int, s: int, positions: Sequence[int],
     state_from_positions(n, positions)  # validates range and ordering
     if len(positions) != s:
         raise PositionsOutOfRange(f"expected {s} positions")
-    t, delta = _hom_parameters(weights)
+    t, delta = weights.t, weights.delta
     factors: list = []
     for j in range(1, s + 1):
         wj = Poly.variable(f"w{j}")
@@ -599,8 +584,7 @@ def ztop_contour(n: int, s: int, positions: Sequence[int],
             factors.append(wj - wk)
             factors.append(wj * wk * (t * t) - wj * (2 * delta * t) + 1)
     specs = [ResidueSpec(f"w{j}", 1, s - 1) for j in range(1, s + 1)]
-    value = iterated_residue(factors, specs, var_order=var_order,
-                             extra_order=extra_order)
+    value = iterated_residue(factors, specs, extra_order=extra_order)
     pref = weights.c ** s * weights.a ** (s * (n - 1))
     for j in range(1, s + 1):
         pref = pref * t ** (positions[j - 1] - j)

@@ -155,7 +155,7 @@ def cauchy_kernel(x, y, tau):
     d2 = x + y + tau * x * y
     if d1 == 0 or d2 == 0:
         raise PoleHit(f"cauchy kernel pole at ({x}, {y})")
-    return qdiv(1, d1 * d2) if is_exact(d1) and is_exact(d2) else 1 / (d1 * d2)
+    return qdiv(1, d1 * d2)
 
 
 def cauchy_ratio(xs: Sequence, ys: Sequence, tau):
@@ -176,8 +176,7 @@ def cauchy_ratio(xs: Sequence, ys: Sequence, tau):
         raise CoincidingParameters("cauchy_ratio needs distinct values in each set")
     den = vandermonde_value(xs) * vandermonde_value(ys)
     if is_exact(den):
-        num = _cauchy_numerator(xs, ys, tau)
-        return qdiv(num, den) if is_exact(num) else num / den
+        return qdiv(_cauchy_numerator(xs, ys, tau), den)
     sphere = mpmath.mpf(1)
     for v in (*xs, *ys):
         sphere *= 1 + abs(v) ** 2
@@ -243,7 +242,7 @@ def _inverse_of_one_minus(prod):
         return den.invert()
     if den == 0:
         raise PoleHit("1 - prod x_l y_l vanishes under a permutation")
-    return qdiv(1, den) if is_exact(den) else 1 / den
+    return qdiv(1, den)
 
 
 def check_double_antisymmetrization(xs: Sequence, ys: Sequence, tau) -> CheckReport:
@@ -260,21 +259,17 @@ def check_double_antisymmetrization(xs: Sequence, ys: Sequence, tau) -> CheckRep
 
 
 def subset_products_avoid_one(xs, ys=()) -> bool:
-    """True when no equal-size subset pair multiplies to 1, which is the
-    condition for every permutation to meet 1 - prod_{l<=j} x_l y_l."""
-    s = len(xs)
-    for j in range(1, s + 1):
-        for sub_x in itertools.combinations(xs, j):
-            px = ONE
-            for x in sub_x:
-                px = px * x
-            for sub_y in (itertools.combinations(ys, j) if ys else ((),)):
-                py = ONE
-                for y in sub_y:
-                    py = py * y
-                if px * py == 1:
-                    return False
-    return True
+    """True when no equal-size subset pair multiplies to 1 (without ys, no
+    nonempty subset of the xs does), which is the condition for every
+    permutation to meet 1 - prod_{l<=j} x_l y_l."""
+    x_products = subset_products(xs)
+    if not ys:
+        return all(px != 1 for px in x_products[1:])
+    y_by_size: dict[int, list] = {}
+    for mask, py in enumerate(subset_products(ys)):
+        y_by_size.setdefault(bin(mask).count("1"), []).append(py)
+    return all(px * py != 1 for mask, px in enumerate(x_products) if mask
+               for py in y_by_size.get(bin(mask).count("1"), ()))
 
 
 def _check_subset_products(xs, ys):
@@ -370,8 +365,7 @@ def cauchy_ratio_confluent(xs: Sequence, y0, tau):
         if f == 0:
             raise PoleHit(f"x + y + tau x y vanishes at ({x}, {y0})")
         val = val * f ** s
-    return qdiv(val, vandermonde_value(xs)) if is_exact(val) \
-        else val / vandermonde_value(xs)
+    return qdiv(val, vandermonde_value(xs))
 
 
 def vandermonde_limit(series_poly: Poly, eps_vars: Sequence[str]):

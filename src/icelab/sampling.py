@@ -25,6 +25,7 @@ import mpmath
 
 from .algebra.field import rational
 from .errors import SamplingExhausted
+from .identities import subset_products_avoid_one
 from .lattice import HomogeneousWeights
 
 log = logging.getLogger(__name__)
@@ -183,17 +184,6 @@ def asep_parameters(rng: DeterministicRng, s: int):
     t = rng.sample_until(draw_t, lambda v: v != 1, "rational t")
     p = rational(1) / (1 + t * t)
 
-    def accept_tuple(zs):
-        import itertools
-        for j in range(1, s + 1):
-            for sub in itertools.combinations(zs, j):
-                prod = rational(1)
-                for z in sub:
-                    prod = prod * z
-                if prod == 1:
-                    return False
-        return True
-
     zs = distinct_rationals(rng, s, accept_each=lambda v: v != 1,
-                            accept_tuple=accept_tuple)
+                            accept_tuple=subset_products_avoid_one)
     return p, zs

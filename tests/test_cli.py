@@ -1,5 +1,6 @@
 """Suite runner: configuration, determinism, exit codes."""
 
+import hashlib
 import json
 import time
 
@@ -9,6 +10,7 @@ from icelab.algebra import ONE
 from icelab.cli import (SuiteConfig, SUITES, _Runner, main, parse_config, run,
                         summarize)
 from icelab.errors import ConfigError, UsageError
+from icelab.report import CheckReport
 
 
 def test_parse_defaults_and_suite_selection():
@@ -141,11 +143,33 @@ def test_float_backend_small_run():
     assert code == 0, summarize(reports)
 
 
+# sha256 of the report JSON of every suite at n_max=3, s_max=3, draws=1,
+# seed=1, pinned so that a refactoring cannot change a report unnoticed
+REPORT_DIGESTS = {
+    "exact": "3026bae7fb330ef744bad1be5ee19aa1653e46cdb74567153699cb9bc4e583b3",
+    "float": "4c600bd372c6b4ff40188ed50c8d166ad46dfcba22d0a541927cf024adf2ee2c",
+}
+
+
 def test_all_suites_every_report_passes():
-    cfg = SuiteConfig(suites=SUITES, n_max=3, s_max=3, draws=1, seed=1)
-    code, reports = run(cfg)
-    assert code == 0
-    assert all(r.status == "pass" for r in reports), summarize(reports)
+    for backend, digest in REPORT_DIGESTS.items():
+        cfg = SuiteConfig(suites=SUITES, n_max=3, s_max=3, draws=1, seed=1,
+                          backend=backend)
+        code, reports = run(cfg)
+        assert code == 0, backend
+        assert all(r.status == "pass" for r in reports), summarize(reports)
+        assert len(reports) == 181, backend
+        payload = json.dumps([r.to_json_obj() for r in reports],
+                             sort_keys=True, indent=2)
+        assert hashlib.sha256(payload.encode()).hexdigest() == digest, backend
+
+
+def test_one_by_one_lattice_with_s_max_one_passes():
+    # the truncation-stability check asked for s=2 here and failed
+    code, reports = run(SuiteConfig(suites=("efp",), n_max=1, s_max=1, draws=1))
+    assert code == 0, summarize(reports)
+    stability = [r for r in reports if r.check_id == "efp.truncation_stability"]
+    assert [r.params["s"] for r in stability] == ["1"]
 
 
 def test_main_exit_codes(tmp_path, capsys):
@@ -176,11 +200,33 @@ def test_guard_times_only_the_reports_its_body_appended():
         time.sleep(0.02)
         runner.compare(check_id, {}, ONE, ONE)
 
-    runner.guard("partition.first", {}, lambda: body("partition.first"))
+    with runner.guard("partition.first"):
+        body("partition.first")
     runner.reports[-1].elapsed_ms = 7
-    runner.guard("partition.quiet", {}, lambda: time.sleep(0.02))
+    with runner.guard("partition.quiet"):
+        time.sleep(0.02)
     assert len(runner.reports) == 1
     assert runner.reports[0].elapsed_ms == 7
-    runner.guard("partition.second", {}, lambda: body("partition.second"))
+    with runner.guard("partition.second"):
+        body("partition.second")
     assert runner.reports[0].elapsed_ms == 7
     assert runner.reports[1].elapsed_ms >= 20
+
+
+def test_guard_turns_an_error_into_one_fail_report():
+    runner = _Runner(SuiteConfig(suites=("partition",)))
+    with runner.guard("partition.broken", draw=3):
+        runner.compare("partition.first", {}, ONE, ONE)
+        raise ValueError("boom")
+    assert [(r.check_id, r.status) for r in runner.reports] == [
+        ("partition.first", "pass"), ("partition.broken", "fail")]
+    assert runner.reports[1].params == {"draw": "3"}
+    assert runner.reports[1].discrepancy == "ValueError: boom"
+
+
+def test_add_stamps_the_draw_only_when_given():
+    runner = _Runner(SuiteConfig(suites=("partition",)))
+    report = CheckReport.from_comparison("partition.x", {"s": 2}, ONE, ONE, exact=True)
+    runner.add(report, 4)
+    runner.add(CheckReport.from_comparison("partition.y", {}, ONE, ONE, exact=True))
+    assert [r.params for r in runner.reports] == [{"s": "2", "draw": "4"}, {}]

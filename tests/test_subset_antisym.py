@@ -23,11 +23,12 @@ from hypothesis import given, settings, strategies as st
 from icelab import cli, identities
 from icelab.algebra import SeriesRing, TruncatedSeries
 from icelab.algebra.field import ONE, is_exact, qdiv
-from icelab.algebra.perms import (antisymmetrize, signed_permutations,
-                                  subset_antisymmetrize, subset_products)
+from icelab.algebra.perms import (antisymmetrize, subset_antisymmetrize,
+                                  subset_products)
 from icelab.correlations import u_map
 from icelab.errors import IcelabError, PoleHit
 from icelab.lattice import HomogeneousWeights
+from test_helper_oracles import signed_permutations
 from test_multiply_kernel import FRACTIONS, INTS, SETTINGS
 
 VALUES = {"int": INTS, "fraction": st.one_of(INTS, FRACTIONS)}
