@@ -22,9 +22,13 @@ of boundary correlations on the m x m lattice.  This index pairing is
 the one under which the family satisfies h(N, s)|_{z_s=1} = h(N, s-1)
 and reproduces the enumeration oracle through every integral formula;
 it is fixed here once and cross-checked by those oracles in the test
-suite.  The polynomial is computed exactly by a memoized cofactor
-recursion that strips one Vandermonde row at a time, so every division
-is by a single monic binomial.
+suite.  The polynomial is built without polynomial division.  Writing
+g_j(z) = sum_d C[j][d] z^d, Cauchy-Binet expands det[g_j(z_k)] over the
+s x s minors of C, and the bialternant formula turns each det[z_k^(d_i)]
+/ V(z) into a Schur polynomial, which the branching rule expands into
+monomials one variable at a time (Macdonald, Symmetric Functions and
+Hall Polynomials, I.3 and I.5).  Exact weights run on integers; float
+weights run through the same sums, so no remainder is ever judged.
 """
 
 from __future__ import annotations
@@ -35,13 +39,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Mapping, Sequence
 
-import mpmath
-
 from .algebra.field import ONE, is_exact, qdiv
 from .algebra.poly import Poly, det, vandermonde_value
 from .algebra.series import SeriesRing, TruncatedSeries
-from .errors import (CoincidingParameters, NonzeroRemainder, PoleCollision,
-                     PoleHit, PositionsOutOfRange, ZeroConstantTerm)
+from .errors import (CoincidingParameters, PoleCollision, PoleHit,
+                     PositionsOutOfRange, ZeroConstantTerm)
 from .lattice import (HomogeneousWeights, WeightSpec, backward_vectors,
                       forward_vectors, partition_function,
                       state_from_positions)
@@ -95,128 +97,103 @@ def _zvar(i: int) -> str:
     return f"z{i}"
 
 
-def _divide_linear(num: Poly, var_a: str, var_b: str, float_mode: bool) -> Poly:
-    """Exact quotient num / (var_a - var_b) by synthetic (Horner) division,
-    carried out on raw term dicts.
+def _row_coefficients(nums: Sequence, s: int, j: int, width: int) -> list:
+    """The coefficients of g_j(z) = z^(s-j) (z-1)^(j-1) sum_r nums[r] z^r,
+    padded with zeros to ``width``."""
+    row = [0] * (s - j) + list(nums)
+    for _ in range(j - 1):  # times (z - 1)
+        row = [(row[i - 1] if i else 0) - (row[i] if i < len(row) else 0)
+               for i in range(len(row) + 1)]
+    return row + [0] * (width - len(row))
 
-    In float mode the remainder is rounding noise and is dropped after a
-    magnitude check; in exact mode any nonzero remainder raises.
-    """
-    if num.is_zero():
-        return num
-    variables = num.vars
-    if var_b not in variables:
-        variables = variables + (var_b,)
-        num = num.aligned(variables)
-    ia = variables.index(var_a)
-    ib = variables.index(var_b)
-    slices: dict[int, dict] = {}
-    for mono, c in num.terms.items():
-        slices.setdefault(mono[ia], {})[mono[:ia] + (0,) + mono[ia + 1:]] = c
-    d = max(slices)
-    out: dict[tuple, object] = {}
-    carry: dict[tuple, object] = {}
-    for e in range(d, -1, -1):
-        cur = dict(slices.get(e, ()))
-        for mono, c in carry.items():  # var_b * previous quotient slice
-            key = mono[:ib] + (mono[ib] + 1,) + mono[ib + 1:]
-            s = cur.get(key, 0) + c
-            if s == 0:
-                cur.pop(key, None)
-            else:
-                cur[key] = s
-        if e == 0:
-            remainder = cur
-        else:
-            for mono, c in cur.items():
-                out[mono[:ia] + (e - 1,) + mono[ia + 1:]] = c
-            carry = cur
-    if remainder:
-        if not float_mode:
-            raise NonzeroRemainder(
-                f"division by ({var_a} - {var_b}) left a remainder")
-        scale = max(abs(mpmath.mpf(1) * c) for c in num.terms.values())
-        worst = max(abs(mpmath.mpf(1) * c) for c in remainder.values())
-        if scale == 0 or worst / scale > 1e-6:
-            raise NonzeroRemainder(
-                f"float division by ({var_a} - {var_b}) left a large remainder")
-    return Poly(variables, out)
+
+def maximal_minors(rows: Sequence[Sequence]) -> dict:
+    """Every nonzero k x k minor of a k x m matrix, keyed by the bitmask of
+    its columns.
+
+    Laplace expansion along the rows, one row at a time: after row i the
+    table holds the minors of rows 0..i on every (i+1)-set of columns.
+    Appending column c to a set puts it behind the set's members greater
+    than c, which gives the sign.  No division happens, so integer
+    entries give integer minors and float entries round only in the
+    products and sums."""
+    minors = {0: 1}
+    for row in rows:
+        cols = [(1 << c, c, x) for c, x in enumerate(row) if x]
+        grown: dict = {}
+        for mask, m in minors.items():
+            for bit, c, x in cols:
+                if mask & bit:
+                    continue
+                term = x * m
+                if (mask >> c).bit_count() % 2:
+                    term = -term
+                key = mask | bit
+                grown[key] = grown.get(key, 0) + term
+        minors = {mask: m for mask, m in grown.items() if m}
+    return minors
+
+
+def _schur_terms(mu: tuple, memo: dict) -> dict:
+    """s_mu(z_1..z_k) for a partition mu with k parts (zeros allowed), as
+    {exponent tuple: int}, by the branching rule
+
+        s_mu(z_1..z_k) = sum over nu < mu of s_nu(z_1..z_(k-1)) z_k^(|mu|-|nu|),
+
+    nu running over the partitions with k-1 parts that interlace mu,
+    mu_1 >= nu_1 >= mu_2 >= ... >= nu_(k-1) >= mu_k (horizontal strips).
+    ``memo`` maps each partition expanded so far to its terms."""
+    if not mu:
+        return {(): 1}
+    cached = memo.get(mu)
+    if cached is not None:
+        return cached
+    size = sum(mu)
+    out: dict = {}
+    for nu in itertools.product(*(range(mu[i + 1], mu[i] + 1)
+                                  for i in range(len(mu) - 1))):
+        tail = (size - sum(nu),)
+        for mono, c in _schur_terms(nu, memo).items():
+            key = mono + tail
+            out[key] = out.get(key, 0) + c
+    memo[mu] = out
+    return out
 
 
 @lru_cache(maxsize=None)
 def sym_generating_poly(n: int, s: int, weights: WeightSpec) -> Poly:
     """h(N, s) as an explicit polynomial in z1..zs.
 
-    Exact weights are rescaled to integers and the determinant recursion
-    runs over integer polynomials; the common denominator (the product of
-    the partition functions entering the one-row data) is divided out at
-    the end.
+    Write g_j(z) = sum_d C[j][d] z^d.  By Cauchy-Binet and the
+    bialternant formula, det[g_j(z_k)] / V(z) is the sum over the
+    s-subsets D = {d_1 < ... < d_s} of the columns of det C[:, D] times
+    the Schur polynomial s_mu(z_1..z_s), mu_i = d_(s+1-i) - (s-i).  Exact
+    weights are rescaled to integers, so C, its minors and the Schur
+    coefficients are integers; the common denominator (the product of the
+    partition functions entering the one-row data) is divided out at the
+    end.  Float weights take the same path with mpf entries.
     """
     if not 1 <= s <= n:
         raise PositionsOutOfRange(f"s={s} outside 1..{n}")
     exact = isinstance(weights, HomogeneousWeights) and weights.exact
-    if exact:
-        work = weights.integer_scaled()
-        rows = []
-        denom = 1
-        for j in range(1, s + 1):
-            nums, z = _h_numerators(n - s + j, work)
-            rows.append(Poly(("_z",), {(r,): c for r, c in enumerate(nums)}))
-            denom *= z
-    else:
-        work = weights
-        rows = [boundary_generating_fn(n - s + j, work).as_poly("_z")
-                for j in range(1, s + 1)]
-        denom = 1
+    work = weights.integer_scaled() if exact else weights
+    width = n + s - 1  # deg g_s = n + s - 2
+    rows = []
+    denom = 1
+    for j in range(1, s + 1):
+        nums, z = _h_numerators(n - s + j, work)
+        rows.append(_row_coefficients(nums, s, j, width))
+        denom = denom * z
 
-    zpoly = Poly.variable("_z")
-    g_rows = [(zpoly ** (s - j)) * ((zpoly - 1) ** (j - 1)) * rows[j - 1]
-              for j in range(1, s + 1)]
-
-    float_mode = not exact
-    memo: dict[frozenset, Poly] = {frozenset(): Poly.const(1)}
-
-    def reduced_minor(row_set: frozenset) -> Poly:
-        cached = memo.get(row_set)
-        if cached is not None:
-            return cached
-        rows_sorted = sorted(row_set)
-        m = len(rows_sorted)
-        var = _zvar(m)
-        total = None
-        for i, j in enumerate(rows_sorted, start=1):
-            g = g_rows[j - 1].rename_vars({"_z": var})
-            term = g * reduced_minor(row_set - {j})
-            if (i + m) % 2:
-                term = -term
-            total = term if total is None else total + term
-        for k in range(1, m):
-            total = _divide_linear(total, var, _zvar(k), float_mode)
-        memo[row_set] = total
-        return total
-
-    result = reduced_minor(frozenset(range(1, s + 1)))
-    # reduced_minor refers to itself, a cycle that only the cyclic garbage
-    # collector frees, so release the memoized minors here
-    memo.clear()
-    result = result.aligned(tuple(_zvar(i) for i in range(1, s + 1)))
-    if denom != 1:
-        result = result.map_coeff(lambda c: qdiv(c, denom))
-    if float_mode:
-        result = _chop(result)
-    return result
-
-
-def _chop(poly: Poly) -> Poly:
-    """Drop float coefficients that are rounding residue relative to the
-    largest coefficient (division remainders below working precision)."""
-    if not poly.terms:
-        return poly
-    scale = max(abs(mpmath.mpf(1) * c) for c in poly.terms.values())
-    cutoff = scale * mpmath.eps * 1024
-    return Poly(poly.vars,
-                {e: c for e, c in poly.terms.items()
-                 if abs(mpmath.mpf(1) * c) > cutoff})
+    memo: dict = {}
+    terms: dict = {}
+    for mask, minor in maximal_minors(rows).items():
+        cols = [c for c in range(width) if mask >> c & 1]
+        mu = tuple(d - i for i, d in enumerate(cols))[::-1]
+        for mono, k in _schur_terms(mu, memo).items():
+            terms[mono] = terms.get(mono, 0) + k * minor
+    return Poly(tuple(_zvar(i) for i in range(1, s + 1)),
+                {mono: qdiv(c, denom) for mono, c in terms.items() if c})
 
 
 def sym_generating_at(n: int, s: int, points: Sequence, weights: WeightSpec):

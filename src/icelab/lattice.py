@@ -67,7 +67,9 @@ class HomogeneousWeights:
     ``exact`` takes part in equality and hashing, so that float weights
     never share a cache entry with the equal exact ones.  Integral exact
     entries are stored as ints, so that equal exact weights, which share
-    cache entries, also give values of the same type."""
+    cache entries, also give values of the same type.  In a triple that
+    is not all exact, rational entries are stored as mpf, because mpmath
+    refuses a ``Fraction`` operand."""
 
     a: object
     b: object
@@ -79,11 +81,14 @@ class HomogeneousWeights:
             raise DegenerateWeights(f"weights must be nonzero, got {self}")
         exact = is_exact(self.a) and is_exact(self.b) and is_exact(self.c)
         object.__setattr__(self, "exact", exact)
-        if exact:
-            for name in "abc":
-                x = getattr(self, name)
-                if type(x) is not int and x.denominator == 1:
-                    object.__setattr__(self, name, int(x.numerator))
+        for name in "abc":
+            x = getattr(self, name)
+            if type(x) is int or not is_exact(x):
+                continue
+            if not exact:
+                object.__setattr__(self, name, mpmath.mpf(x.numerator) / x.denominator)
+            elif x.denominator == 1:
+                object.__setattr__(self, name, int(x.numerator))
 
     @property
     def t(self):

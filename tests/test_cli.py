@@ -147,7 +147,7 @@ def test_float_backend_small_run():
 # seed=1, pinned so that a refactoring cannot change a report unnoticed
 REPORT_DIGESTS = {
     "exact": "3026bae7fb330ef744bad1be5ee19aa1653e46cdb74567153699cb9bc4e583b3",
-    "float": "4c600bd372c6b4ff40188ed50c8d166ad46dfcba22d0a541927cf024adf2ee2c",
+    "float": "49db637b4e618c86ee556e061bd7347b1843ab147c336075afb3bb1014a57e9d",
 }
 
 

@@ -304,3 +304,14 @@ def test_equal_int_and_fraction_weights_give_values_of_one_type():
         backward_vectors.cache_clear()
         assert type(partition_function(4, first)) is int
         assert type(partition_function(4, second)) is int
+
+
+def test_mixed_weights_store_their_rationals_as_mpf():
+    # a Fraction beside mpf entries made t and delta raise TypeError
+    mixed = HomogeneousWeights(mpmath.mpf(1), Q(1, 2), mpmath.mpf(2))
+    floats = HomogeneousWeights(mpmath.mpf(1), mpmath.mpf("0.5"), mpmath.mpf(2))
+    assert mixed.t == mpmath.mpf("0.5") and mixed.delta == floats.delta
+    assert not mixed.exact and mixed == floats
+    assert all(isinstance(x, mpmath.mpf) for x in (mixed.a, mixed.b, mixed.c))
+    assert HomogeneousWeights(Q(1, 3), 2, mpmath.mpf(2)).a == mpmath.mpf(1) / 3
+    assert partition_function(3, mixed) == partition_function(3, floats)
