@@ -53,13 +53,15 @@ def qdiv(a, b):
 
 
 def rel_err(lhs, rhs) -> float:
-    """Max-relative discrepancy |lhs-rhs| / max(|lhs|, |rhs|, 1e-300)."""
+    """Max-relative discrepancy |lhs-rhs| / max(|lhs|, |rhs|); 0 when the
+    two are equal, zero included."""
     # multiply into mpmath first: gmpy2's mpq refuses mixed subtraction
     lf = mpmath.mpf(1) * lhs
     rf = mpmath.mpf(1) * rhs
     diff = abs(lf - rf)
-    scale = max(abs(lf), abs(rf), mpmath.mpf("1e-300"))
-    return float(diff / scale)
+    if diff == 0:
+        return 0.0
+    return float(diff / max(abs(lf), abs(rf)))
 
 
 def float_precision(bits: int):

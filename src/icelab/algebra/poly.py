@@ -395,9 +395,6 @@ class Poly:
     def homogeneous_component(self, total: int) -> "Poly":
         return Poly(self.vars, {e: c for e, c in self.terms.items() if sum(e) == total})
 
-    def map_coeff(self, fn) -> "Poly":
-        return Poly(self.vars, {e: fn(c) for e, c in self.terms.items()})
-
     def rename_vars(self, mapping: Mapping[str, str]) -> "Poly":
         renamed = tuple(mapping.get(v, v) for v in self.vars)
         if len(set(renamed)) != len(renamed):
@@ -434,8 +431,6 @@ def _max_exponent(p: Poly) -> int:
 def poly_max_rel_err(a: Poly, b: Poly) -> float:
     """Largest relative coefficient discrepancy between two polynomials,
     with the union of supports and a scale set by the larger polynomial."""
-    from .field import rel_err
-
     variables = a._union_vars(b)
     a = a.aligned(variables)
     b = b.aligned(variables)

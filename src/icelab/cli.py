@@ -21,7 +21,7 @@ import mpmath
 
 from . import correlations, identities, izergin_korepin, lattice
 from .algebra.field import ONE, float_precision, rational
-from .algebra.poly import Poly, poly_max_rel_err
+from .algebra.poly import Poly
 from .errors import ConfigError, UsageError
 from .report import CheckReport
 from .sampling import (DeterministicRng, asep_parameters, distinct_rationals,
@@ -149,11 +149,11 @@ class _Runner:
             check_id, params, lhs, rhs, exact=exact,
             tolerance=self.config.tolerance))
 
-    def add(self, report: CheckReport, draw=None):
-        """Append a check's own report, stamped with its draw if given."""
-        if draw is not None:
-            report.params["draw"] = str(draw)
-        self.reports.append(report)
+    def check(self, check_id, params, sides, *args, exact):
+        """One guarded check of an identity whose two sides are
+        ``sides(*args)``; an error is reported with the same params."""
+        with self.guard(check_id, **params):
+            self.compare(check_id, params, *sides(*args), exact=exact)
 
     @contextmanager
     def guard(self, check_id, **params):
@@ -228,9 +228,11 @@ def _suite_partition(run: _Runner, rng: DeterministicRng):
                     izergin_korepin.ik_homogeneous(lam0, eta, n),
                     lattice.partition_function(n, w),
                     exact=False)
-            n = min(cfg.n_max, 5)
-            run.add(izergin_korepin.partial_inhomogeneous_relation(
-                lams[:n], lam0, eta, tolerance=cfg.tolerance), draw)
+        n = min(cfg.n_max, 5)
+        run.check("partition.partial_inhomogeneous_factorization",
+                  {"draw": draw, "n": n, "lam0": lam0, "lambdas": lams[:n]},
+                  izergin_korepin.partial_inhomogeneous_relation,
+                  lams[:n], lam0, eta, exact=False)
 
 
 def _suite_boundary(run: _Runner, rng: DeterministicRng):
@@ -269,19 +271,6 @@ def _suite_generating(run: _Runner, rng: DeterministicRng):
     n_top = min(cfg.n_max, 6)
     tol = 0.0 if run.exact else cfg.tolerance
 
-    def poly_check(check_id, params, got, want):
-        if run.exact:
-            run.compare(check_id, params, got, want, exact=True)
-            return
-        err = poly_max_rel_err(got, want)
-        run.add(CheckReport(
-            check_id=check_id,
-            params={k: str(v) for k, v in params.items()},
-            status="pass" if err <= cfg.tolerance else "fail",
-            lhs=f"coefficient deviation {err:.3e}",
-            rhs=f"tolerance {cfg.tolerance:.3e}",
-            discrepancy="0" if err == 0 else f"{err:.3e}"))
-
     for draw, spec in run.triples(rng, min(cfg.draws, 5)):
         with run.guard("generating.normalization", draw=draw):
             w = lattice.HomogeneousWeights(*spec)
@@ -290,10 +279,10 @@ def _suite_generating(run: _Runner, rng: DeterministicRng):
                 run.compare("generating.normalization",
                             {"draw": draw, "n": n}, gf.eval(ONE), ONE)
             for n in range(1, n_top + 1):
-                poly_check("generating.single_row_consistency",
-                           {"draw": draw, "n": n},
-                           correlations.sym_generating_poly(n, 1, w),
-                           correlations.boundary_generating_fn(n, w).as_poly("z1"))
+                run.compare("generating.single_row_consistency",
+                            {"draw": draw, "n": n},
+                            correlations.sym_generating_poly(n, 1, w),
+                            correlations.boundary_generating_fn(n, w).as_poly("z1"))
                 for s in range(1, n + 1):
                     h = correlations.sym_generating_poly(n, s, w)
                     degree_ok = all(h.degree(f"z{j}") <= n - 1
@@ -305,8 +294,8 @@ def _suite_generating(run: _Runner, rng: DeterministicRng):
                     reduced = h.eval_partial({f"z{s}": ONE})
                     target = correlations.sym_generating_poly(n, s - 1, w) \
                         if s > 1 else Poly.const(ONE, reduced.vars)
-                    poly_check("generating.reduction",
-                               {"draw": draw, "n": n, "s": s}, reduced, target)
+                    run.compare("generating.reduction",
+                                {"draw": draw, "n": n, "s": s}, reduced, target)
 
 
 def _suite_efp(run: _Runner, rng: DeterministicRng):
@@ -341,16 +330,19 @@ def _suite_efp(run: _Runner, rng: DeterministicRng):
 
     for s in range(1, min(3, cfg.s_max) + 1):
         for r in (2, 3):
-            with run.guard("efp.ordered_geometric_sum", s=s, r=r):
-                run.add(correlations.check_ordered_geometric_sum(s, r, 8))
-            with run.guard("efp.ordered_geometric_sum_stability", s=s, r=r):
-                run.add(correlations.check_ordered_geometric_sum(s, r, 8, cutoff=10))
+            for cutoff in (8, 10):
+                run.check("efp.ordered_geometric_sum",
+                          {"s": s, "r": r, "order": 8, "cutoff": cutoff},
+                          correlations.check_ordered_geometric_sum, s, r, 8, cutoff,
+                          exact=True)
     for draw in range(min(cfg.draws, 5)):
         for s in range(1, min(4, cfg.s_max) + 1):
             phi = _random_symmetric_poly(rng, s)
             w_pt = rng.rational()
-            with run.guard("efp.symmetric_residue_collapse", draw=draw, s=s):
-                run.add(correlations.check_symmetric_residue_collapse(s, phi, w_pt))
+            run.check("efp.symmetric_residue_collapse",
+                      {"s": s, "w": w_pt, "phi_terms": len(phi.terms)},
+                      correlations.check_symmetric_residue_collapse, s, phi, w_pt,
+                      exact=True)
 
 
 def _random_symmetric_poly(rng: DeterministicRng, s: int) -> Poly:
@@ -410,30 +402,35 @@ def _suite_antisym(run: _Runner, rng: DeterministicRng):
     for draw in range(cfg.draws):
         for s in range(1, min(cfg.s_max, 5) + 1):
             lams, nus, eta = trig_parameters(rng, s)
-            with run.guard("antisym.trig_kernel_vs_determinant", draw=draw, s=s):
-                run.add(identities.check_trig_antisymmetrization(
-                    lams, nus, eta, tolerance=cfg.tolerance), draw)
+            run.check("antisym.trig_kernel_vs_determinant",
+                      {"draw": draw, "s": s, "lambdas": lams, "nus": nus, "eta": eta},
+                      identities.check_trig_antisymmetrization, lams, nus, eta,
+                      exact=False)
         for s in range(1, min(cfg.s_max, 4) + 1):
             lams, nus, eta, zeta = trig_parameters(rng, s, with_zeta=True)
             zeta2 = zeta + mpmath.mpf("0.11")
-            with run.guard("antisym.cauchy_ratio_vs_partition_fn", draw=draw, s=s):
-                run.add(identities.check_w_matches_partition_fn(
-                    lams, nus, eta, zeta, zeta2, tolerance=cfg.tolerance), draw)
+            run.check("antisym.cauchy_ratio_vs_partition_fn",
+                      {"draw": draw, "s": s, "eta": eta, "zeta": zeta, "zeta2": zeta2},
+                      identities.check_w_matches_partition_fn,
+                      lams, nus, eta, zeta, zeta2, exact=False)
         for s in range(1, min(cfg.s_max, 4) + 1):
             w = weight_triple(rng)
             a = w.t * w.t - 2 * w.delta * w.t
             zs = distinct_rationals(
                 rng, s, accept_each=lambda v: v != 1 and (a * v + 1) != 0)
-            with run.guard("antisym.rational_kernel_vs_partition_fn", draw=draw, s=s):
-                run.add(identities.check_rational_antisymmetrization(zs, w), draw)
+            run.check("antisym.rational_kernel_vs_partition_fn",
+                      {"draw": draw, "s": s, "zs": zs, "weights": (w.a, w.b, w.c)},
+                      identities.check_rational_antisymmetrization, zs, w, exact=True)
         for s in range(1, min(cfg.s_max, 5) + 1):
             tau = rng.rational()
             xs = distinct_rationals(rng, s)
             ys = distinct_rationals(
                 rng, s,
                 accept_tuple=lambda ys: _double_antisym_admissible(xs, ys, tau))
-            with run.guard("antisym.double_antisymmetrization", draw=draw, s=s):
-                run.add(identities.check_double_antisymmetrization(xs, ys, tau), draw)
+            run.check("antisym.double_antisymmetrization",
+                      {"draw": draw, "s": s, "xs": xs, "ys": ys, "tau": tau},
+                      identities.check_double_antisymmetrization, xs, ys, tau,
+                      exact=True)
         for s in range(1, min(cfg.s_max, 3) + 1):
             w = weight_triple(rng)
             zs = _homogeneous_cauchy_points(rng, s, w)
@@ -471,22 +468,26 @@ def _suite_tracy_widom(run: _Runner, rng: DeterministicRng):
     for draw in range(cfg.draws):
         for s in range(1, min(cfg.s_max, 5) + 1):
             p, zs = asep_parameters(rng, s)
-            with run.guard("tracy-widom.asep_antisymmetrization", draw=draw, s=s):
-                run.add(identities.check_asep_antisymmetrization(p, zs), draw)
+            run.check("tracy-widom.asep_antisymmetrization",
+                      {"draw": draw, "s": s, "p": p, "zs": zs},
+                      identities.check_asep_antisymmetrization, p, zs, exact=True)
         for s in range(1, min(cfg.s_max + 1, 6) + 1):
             t = rng.sample_until(rng.rational, lambda v: v != 1, "t")
             eps = distinct_rationals(rng, s)
-            with run.guard("tracy-widom.scaled_vandermonde_antisym", draw=draw, s=s):
-                run.add(identities.check_scaled_vandermonde_antisym(t, eps), draw)
+            run.check("tracy-widom.scaled_vandermonde_antisym",
+                      {"draw": draw, "s": s, "t": t, "eps": eps},
+                      identities.check_scaled_vandermonde_antisym, t, eps, exact=True)
         for s in range(1, min(cfg.s_max, 5) + 1):
             t = rng.sample_until(rng.rational, lambda v: v != 1, "t")
             zs = distinct_rationals(rng, s, accept_each=lambda z: t * t * z != 1)
-            with run.guard("tracy-widom.confluent_det_vandermonde", draw=draw, s=s):
-                run.add(identities.check_confluent_det_vandermonde(t, zs), draw)
+            run.check("tracy-widom.confluent_det_vandermonde",
+                      {"draw": draw, "s": s, "t": t, "zs": zs},
+                      identities.check_confluent_det_vandermonde, t, zs, exact=True)
         for s in range(1, min(cfg.s_max, 3) + 1):
             p, zs = asep_parameters(rng, s)
-            with run.guard("tracy-widom.double_antisym_degeneration", draw=draw, s=s):
-                run.add(identities.check_degeneration_to_asep(p, zs), draw)
+            run.check("tracy-widom.double_antisym_degeneration",
+                      {"draw": draw, "s": s, "p": p, "zs": zs},
+                      identities.check_degeneration_to_asep, p, zs, exact=True)
 
 
 _SUITE_FNS = {

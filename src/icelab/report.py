@@ -1,9 +1,15 @@
 """Check reports: one record per verified identity instance.
 
-A report stores the two sides of an identity as rendered strings plus a
-discrepancy: the string "0" for a bit-exact match, otherwise the maximal
-relative error.  Exact-backend comparisons pass only on identical values;
-float comparisons pass within the caller's tolerance.
+``from_comparison`` is the one path from the two sides of an identity to a
+report; in the package, the suite runner in ``cli`` is its only caller.  A report stores
+both sides as rendered strings plus a discrepancy.  Exact comparisons pass
+only on identical values, and the discrepancy is the string "0" or the
+difference lhs - rhs.  Float comparisons pass within the runner's
+tolerance, and the discrepancy is the largest relative error.
+
+A side may be a scalar, a polynomial or a tuple of them.  Tuples compare
+element by element, and in float mode the largest element error counts.
+Float polynomials compare by their largest relative coefficient error.
 """
 
 from __future__ import annotations
@@ -12,6 +18,22 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .algebra.field import format_scalar, rel_err
+from .algebra.poly import Poly, poly_max_rel_err
+
+
+def _difference(lhs, rhs):
+    if isinstance(lhs, tuple):
+        return tuple(_difference(l, r) for l, r in zip(lhs, rhs))
+    return lhs - rhs
+
+
+def _float_err(lhs, rhs) -> float:
+    if isinstance(lhs, tuple):
+        return max((_float_err(l, r) for l, r in zip(lhs, rhs, strict=True)),
+                   default=0.0)
+    if isinstance(lhs, Poly):
+        return poly_max_rel_err(lhs, rhs)
+    return rel_err(lhs, rhs)
 
 
 def _render(value) -> str:
@@ -48,11 +70,11 @@ class CheckReport:
                 disc = "0"
             else:
                 try:
-                    disc = _render(lhs - rhs)
+                    disc = _render(_difference(lhs, rhs))
                 except TypeError:
                     disc = "mismatch"
         else:
-            err = rel_err(lhs, rhs)
+            err = _float_err(lhs, rhs)
             ok = err <= tolerance
             disc = "0" if err == 0 else format_scalar(err, 3)
         return CheckReport(

@@ -6,7 +6,7 @@ import mpmath
 import pytest
 
 from icelab.algebra import (Poly, SeriesRing, antisymmetrize, det, jet_derivative,
-                            parity, poly_exact_div, rational, series_sin,
+                            parity, poly_exact_div, rational, rel_err, series_sin,
                             vandermonde, vandermonde_value)
 from icelab.errors import NonzeroRemainder, ZeroConstantTerm
 from icelab.sampling import DeterministicRng
@@ -35,6 +35,15 @@ def test_rational_normalization():
     x = Q(4, 8)
     assert x.numerator == 1 and x.denominator == 2
     assert Q(3, -6).denominator > 0
+
+
+def test_rel_err_is_relative_to_the_larger_side_at_any_scale():
+    assert rel_err(0, 0) == 0.0
+    assert rel_err(mpmath.mpf("1e-320"), mpmath.mpf("1e-320")) == 0.0
+    # no floor: a nonzero value against zero is off by all of itself
+    assert rel_err(mpmath.mpf("1e-320"), 0) == 1.0
+    assert rel_err(Q(3), Q(4)) == 0.25
+    assert rel_err(mpmath.mpf("-2e-310"), mpmath.mpf("-1e-310")) == 0.5
 
 
 # -- polynomials -------------------------------------------------------

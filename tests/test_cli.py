@@ -4,9 +4,12 @@ import hashlib
 import json
 import time
 
+import mpmath
 import pytest
 
-from icelab.algebra import ONE
+from icelab import correlations, identities
+from icelab.algebra import ONE, Poly, format_scalar, rational, rel_err
+from icelab.algebra.poly import poly_max_rel_err
 from icelab.cli import (SuiteConfig, SUITES, _Runner, main, parse_config, run,
                         summarize)
 from icelab.errors import ConfigError, UsageError
@@ -146,8 +149,8 @@ def test_float_backend_small_run():
 # sha256 of the report JSON of every suite at n_max=3, s_max=3, draws=1,
 # seed=1, pinned so that a refactoring cannot change a report unnoticed
 REPORT_DIGESTS = {
-    "exact": "3026bae7fb330ef744bad1be5ee19aa1653e46cdb74567153699cb9bc4e583b3",
-    "float": "49db637b4e618c86ee556e061bd7347b1843ab147c336075afb3bb1014a57e9d",
+    "exact": "84857537a0022b53ce4b306638c420507ee671d93e6eae5d3e8929db70d89f62",
+    "float": "855857a3623572d25edfdeb4e9ddb134c1ea6fbca8cd565cc7059eacba95f9c9",
 }
 
 
@@ -224,9 +227,97 @@ def test_guard_turns_an_error_into_one_fail_report():
     assert runner.reports[1].discrepancy == "ValueError: boom"
 
 
-def test_add_stamps_the_draw_only_when_given():
-    runner = _Runner(SuiteConfig(suites=("partition",)))
-    report = CheckReport.from_comparison("partition.x", {"s": 2}, ONE, ONE, exact=True)
-    runner.add(report, 4)
-    runner.add(CheckReport.from_comparison("partition.y", {}, ONE, ONE, exact=True))
-    assert [r.params for r in runner.reports] == [{"s": "2", "draw": "4"}, {}]
+def test_an_ordered_sum_error_is_reported_under_the_checks_own_id(monkeypatch):
+    def broken(*args):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(correlations, "check_ordered_geometric_sum", broken)
+    code, reports = run(SuiteConfig(suites=("efp",), n_max=1, s_max=1, draws=1))
+    assert code == 1
+    fails = [r for r in reports if r.status == "fail"]
+    assert {r.check_id for r in fails} == {"efp.ordered_geometric_sum"}
+    assert [(r.params["r"], r.params["cutoff"]) for r in fails] == [
+        ("2", "8"), ("2", "10"), ("3", "8"), ("3", "10")]
+    assert all(r.discrepancy == "ValueError: boom" for r in fails)
+
+
+# Each formerly hand-built check must fail through the runner when exactly one
+# component of its sides is falsified, the others still holding.
+
+
+def _failing(monkeypatch, module, name, falsify, suite):
+    original = getattr(module, name)
+    monkeypatch.setattr(module, name,
+                        lambda *args, **kw: falsify(original(*args, **kw)))
+    code, reports = run(SuiteConfig(suites=(suite,), n_max=3, s_max=3, draws=1,
+                                     seed=5))
+    assert code == 1
+    return [r for r in reports if r.status == "fail"]
+
+
+def test_degeneration_fails_on_a_falsified_exclusion_process_rhs(monkeypatch):
+    fails = _failing(monkeypatch, identities, "_asep_rhs", lambda v: v + 1,
+                     "tracy-widom")
+    degen = [r for r in fails if r.check_id == "tracy-widom.double_antisym_degeneration"]
+    assert len(degen) == 3
+    for rep in degen:
+        scaled, limit, _ = rep.discrepancy.strip("()").split(", ")
+        assert (scaled, limit) == ("0", "0"), rep.discrepancy
+        assert rep.discrepancy != "(0, 0, 0)"
+
+
+def test_degeneration_fails_on_a_falsified_confluent_ratio(monkeypatch):
+    fails = _failing(monkeypatch, identities, "cauchy_ratio_confluent",
+                     lambda v: v + 1, "tracy-widom")
+    assert {r.check_id for r in fails} == {"tracy-widom.double_antisym_degeneration"}
+    assert len(fails) == 3
+    for rep in fails:
+        scaled, limit, exclusion = rep.discrepancy.strip("()").split(", ")
+        assert scaled == exclusion == "0" != limit, rep.discrepancy
+
+
+def test_cauchy_ratio_check_fails_on_a_falsified_second_zeta(monkeypatch):
+    calls = []
+
+    def second_call_off(value):
+        calls.append(value)
+        return value * (1 + mpmath.mpf("1e-6")) if len(calls) % 2 == 0 else value
+
+    fails = _failing(monkeypatch, identities, "cauchy_ratio", second_call_off,
+                     "antisym")
+    assert {r.check_id for r in fails} == {"antisym.cauchy_ratio_vs_partition_fn"}
+    assert len(fails) == 3 and len(calls) == 6
+    for rep in fails:
+        at_zeta, at_zeta2 = rep.lhs.strip("()").split(", ")
+        z, _ = rep.rhs.strip("()").split(", ")
+        assert abs(mpmath.mpf(at_zeta) / mpmath.mpf(z) - 1) < 1e-12
+        assert abs(mpmath.mpf(at_zeta2) / mpmath.mpf(z) - 1) > 1e-7
+
+
+def test_from_comparison_takes_tuples_element_by_element():
+    half, third = rational(1, 2), rational(1, 3)
+    rep = CheckReport.from_comparison("x.exact", {}, (half, third), (half, half),
+                                      exact=True)
+    assert (rep.status, rep.lhs, rep.discrepancy) == ("fail", "(1/2, 1/3)", "(0, -1/6)")
+    floats = (mpmath.mpf(1), mpmath.mpf("1.000001"))
+    rep = CheckReport.from_comparison("x.float", {}, floats, (ONE, ONE),
+                                      exact=False, tolerance=1e-8)
+    assert rep.status == "fail" and rep.discrepancy == format_scalar(
+        rel_err(floats[1], ONE), 3)
+    rep = CheckReport.from_comparison("x.float", {}, floats, (ONE, ONE),
+                                      exact=False, tolerance=1e-5)
+    assert rep.status == "pass"
+
+
+def test_from_comparison_judges_float_polys_by_their_coefficients():
+    exact = Poly(("z1",), {(1,): rational(1, 3), (0,): rational(2, 3)})
+    close = Poly(("z1",), {(1,): mpmath.mpf(1) / 3, (0,): mpmath.mpf(2) / 3})
+    rep = CheckReport.from_comparison("x.poly", {}, close, exact, exact=False,
+                                      tolerance=1e-12)
+    assert rep.status == "pass"
+    assert rep.rhs == repr(exact) and rep.lhs == repr(close)
+    off = close + Poly(("z1",), {(1,): mpmath.mpf("1e-6")})
+    rep = CheckReport.from_comparison("x.poly", {}, off, exact, exact=False,
+                                      tolerance=1e-8)
+    assert rep.status == "fail"
+    assert rep.discrepancy == format_scalar(poly_max_rel_err(off, exact), 3)

@@ -199,8 +199,19 @@ def test_residue_order_independence_with_extra_series():
         baseline = iterated_residue(factors + [(pair, -1), single, Q(3, 7) + 0 * z["z1"]],
                                     specs)
         for order in itertools.permutations(names):
-            assert iterated_residue(factors, specs, extra_series=extra, ring=ring,
+            assert iterated_residue(factors, specs, extra_series=extra,
                                     var_order=order) == baseline
+
+
+def test_extra_series_must_live_in_the_engine_ring():
+    # the engine builds residue_ring(specs, extra_order) itself; a series
+    # from the ring of another extra order is refused
+    specs = [ResidueSpec(v, 0, 1) for v in ("z1", "z2")]
+    factors = [1 + Poly.variable("z1") * Poly.variable("z2")]
+    extra = [residue_ring(specs).const(Q(3, 7))]
+    assert iterated_residue(factors, specs, extra_series=extra) == Q(3, 7)
+    with pytest.raises(ValueError, match="engine ring"):
+        iterated_residue(factors, specs, extra_series=extra, extra_order=1)
 
 
 # -- emptiness formation probability ---------------------------------------
@@ -304,40 +315,40 @@ def test_zbot_empty_flux_is_partition_function():
 
 
 def test_ordered_geometric_sum_single_variable():
-    report = check_ordered_geometric_sum(1, 3, 6)
-    assert report.passed
+    lhs, rhs = check_ordered_geometric_sum(1, 3, 6)
+    assert lhs == rhs
 
 
 def test_ordered_geometric_sum_multi():
-    assert check_ordered_geometric_sum(2, 3, 8).passed
-    assert check_ordered_geometric_sum(3, 2, 8).passed
+    for s, r in ((2, 3), (3, 2)):
+        lhs, rhs = check_ordered_geometric_sum(s, r, 8)
+        assert lhs == rhs, (s, r)
 
 
 def test_ordered_geometric_sum_cutoff_stability():
     for cutoff in (8, 10, 12):
-        assert check_ordered_geometric_sum(2, 3, 8, cutoff=cutoff).passed
+        lhs, rhs = check_ordered_geometric_sum(2, 3, 8, cutoff=cutoff)
+        assert lhs == rhs, cutoff
 
 
 def test_symmetric_residue_collapse_constant():
     phi = Poly.const(Q(7), ("y1",))
-    report = check_symmetric_residue_collapse(1, phi, Q(2, 3))
-    assert report.passed
-    assert report.lhs == "7"
+    assert check_symmetric_residue_collapse(1, phi, Q(2, 3)) == (7, 7)
 
 
 def test_symmetric_residue_collapse_linear():
     phi = Poly(("y1", "y2"), {(1, 0): Q(1), (0, 1): Q(1)})
-    report = check_symmetric_residue_collapse(2, phi, Q(7, 5))
-    assert report.passed
-    assert report.lhs == "-28/5"  # (-1)^1 * 2! * 2w
+    # (-1)^1 * 2! * 2w
+    assert check_symmetric_residue_collapse(2, phi, Q(7, 5)) == (Q(-28, 5), Q(-28, 5))
 
 
 def test_symmetric_residue_collapse_degree_two():
     phi = Poly(("y1", "y2", "y3"),
                {(2, 0, 0): Q(2), (0, 2, 0): Q(2), (0, 0, 2): Q(2),
                 (1, 1, 0): Q(3), (1, 0, 1): Q(3), (0, 1, 1): Q(3)})
-    assert check_symmetric_residue_collapse(3, phi, Q(1, 3)).passed
-    assert check_symmetric_residue_collapse(3, phi, Q(-2)).passed
+    for w in (Q(1, 3), Q(-2)):
+        lhs, rhs = check_symmetric_residue_collapse(3, phi, w)
+        assert lhs == rhs, w
 
 
 def test_symmetric_residue_collapse_s4():
@@ -345,7 +356,8 @@ def test_symmetric_residue_collapse_s4():
     phi = Poly(variables, {(0, 0, 0, 0): Q(5)})
     for e in itertools.permutations((1, 1, 0, 0)):
         phi = phi + Poly(variables, {tuple(e): Q(1, 2)})
-    assert check_symmetric_residue_collapse(4, phi, Q(3, 7)).passed
+    lhs, rhs = check_symmetric_residue_collapse(4, phi, Q(3, 7))
+    assert lhs == rhs
 
 
 # -- random-triple regression ----------------------------------------------

@@ -140,7 +140,8 @@ def oracle_sym_generating_poly(n: int, s: int, weights) -> Poly:
     memo.clear()
     result = result.aligned(tuple(_zvar(i) for i in range(1, s + 1)))
     if denom != 1:
-        result = result.map_coeff(lambda c: qdiv(c, denom))
+        result = Poly(result.vars,
+                      {e: qdiv(c, denom) for e, c in result.terms.items()})
     if float_mode:
         result = _chop(result)
     return result
