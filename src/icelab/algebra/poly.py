@@ -41,7 +41,7 @@ from typing import Mapping, Sequence
 import mpmath
 
 from ..errors import NonzeroRemainder
-from .field import ONE, ZERO, is_exact, qdiv
+from .field import ONE, ZERO, format_scalar, is_exact, qdiv
 
 
 # -- the sparse multiply kernel ------------------------------------------
@@ -315,7 +315,7 @@ class Poly:
                 f"{v}^{k}" if k > 1 else v
                 for v, k in zip(self.vars, e) if k
             )
-            bits.append(f"({c}){'*' + mono if mono else ''}")
+            bits.append(f"({format_scalar(c)}){'*' + mono if mono else ''}")
         return "Poly(" + " + ".join(bits) + ")"
 
     # -- evaluation and substitution ------------------------------------

@@ -505,7 +505,8 @@ def run(config: SuiteConfig):
     """Execute the configured suites; returns (exit_code, reports)."""
     config.validate()
     runner = _Runner(config)
-    with float_precision(config.precision_bits):
+    # the integrand kernels are dropped before the reports are sorted and dumped
+    with float_precision(config.precision_bits), correlations.kernel_scope():
         for suite in SUITES:
             if suite not in config.suites:
                 continue

@@ -13,6 +13,24 @@ target coefficients are read off.  Factors that are inverted must be
 nonzero at the center; this is checked, not assumed, and a violation
 surfaces as an error rather than a wrong number.
 
+In the EFP forms (asymmetric, symmetrized, Cauchy) and the bottom RCP
+integral, the generating polynomial h = h(N, s) is the only factor that
+depends on N.  The product K of all the others, the u-transformed h(s, s)
+included, depends only on the form, s, the weights and the truncation
+orders.  The residue is the coefficient of z^T in K h, that is the sum
+over the terms m of h of h[m] K[T - m]: a dot product, with no series
+product with h.  Exact values run on integer numerators with one
+division at the end, and the Cauchy form's 1/t rescaling of h(N, s) enters
+the sum as t^(-|m|).  Inside ``kernel_scope()``, which ``cli.run`` opens
+for its suites, each kernel K is built once, keyed by its builder, the
+weights and the exact truncation orders, and read by every (N, r) or
+position set that needs it.  The scope holds the kernels of one weight
+triple at a time, since the suites finish a triple before drawing the
+next, and it drops them on exit; outside a scope each call builds its
+kernel and drops it.  The top RCP integral and the double EFP integral
+have factors that depend on the positions or on r, so they stay with
+``iterated_residue``.
+
 The generating polynomial family entering all the formulas is
 
     h(N, s) = det[ z_k^(s-j) (z_k - 1)^(j-1) h_{N-s+j}(z_k) ] / V(z)
@@ -35,12 +53,14 @@ from __future__ import annotations
 
 import itertools
 import math
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Mapping, Sequence
 
 from .algebra.field import ONE, is_exact, qdiv
-from .algebra.poly import Poly, det, vandermonde_value
+from .algebra.poly import Poly, common_denominator, det, vandermonde_value
 from .algebra.series import SeriesRing, TruncatedSeries
 from .errors import (CoincidingParameters, PoleCollision, PoleHit,
                      PositionsOutOfRange, ZeroConstantTerm)
@@ -237,13 +257,31 @@ class ResidueSpec:
     target_exponent: int
 
 
-def residue_ring(specs: Sequence[ResidueSpec], extra_order: int = 0) -> SeriesRing:
-    return SeriesRing(tuple(sp.var for sp in specs),
-                      tuple(sp.target_exponent + extra_order for sp in specs))
+def _expand_factors(factors: Sequence, centers: Mapping[str, object],
+                    ring: SeriesRing) -> tuple:
+    """(scalar, [(support, series)]): each (Poly, power) factor (a bare Poly
+    means power 1) recentred at ``centers`` and expanded, negative powers
+    through the inverse, in the subring of ``ring`` on the contour
+    variables it holds; a factor that holds none is folded into the scalar.
+    Inverting a factor that vanishes at its center raises ZeroConstantTerm."""
+    scalar = ONE
+    expanded = []
+    for item in factors:
+        poly, power = item if isinstance(item, tuple) else (item, 1)
+        support = tuple(v for v in poly.vars if v in centers and poly.degree(v) > 0)
+        offsets = {v: centers[v] for v in support if centers[v] != 0}
+        shifted = poly.shift(offsets) if offsets else poly
+        if not support:
+            c = shifted.constant_value()
+            scalar = scalar * (c ** power if power >= 0 else qdiv(1, c ** -power))
+            continue
+        sub = SeriesRing(support, tuple(ring.orders[ring.index(v)] for v in support))
+        base = sub.from_poly(shifted)
+        expanded.append((support, base ** power if power >= 0 else base.invert() ** (-power)))
+    return scalar, expanded
 
 
 def iterated_residue(factors: Sequence, specs: Sequence[ResidueSpec], *,
-                     extra_series: Sequence[TruncatedSeries] = (),
                      var_order: Sequence[str] | None = None,
                      extra_order: int = 0):
     """Evaluate an iterated contour integral as coefficient extraction.
@@ -252,48 +290,20 @@ def iterated_residue(factors: Sequence, specs: Sequence[ResidueSpec], *,
     unshifted variables; the engine recenters each polynomial, expands
     negative powers (raising ZeroConstantTerm when a declared-analytic
     factor vanishes at its center), and extracts the product of target
-    coefficients.  ``extra_series`` are prebuilt series in the engine's
-    shifted ring, ``residue_ring(specs, extra_order)``.  The result does not
-    depend on ``var_order``; callers may pass one to exercise that.
+    coefficients one variable at a time, merging each factor at the first
+    step that slices one of its variables.  The result does not depend on
+    ``var_order``; callers may pass one to exercise that.
     """
-    if not specs:
-        value = ONE
-        for item in factors:
-            poly, power = item if isinstance(item, tuple) else (item, 1)
-            c = poly.constant_value()
-            value = value * (c ** power if power >= 0 else qdiv(1, c ** -power))
-        return value
-    ring = residue_ring(specs, extra_order)
+    ring = SeriesRing(tuple(sp.var for sp in specs),
+                      tuple(sp.target_exponent + extra_order for sp in specs))
     by_var = {sp.var: sp for sp in specs}
-    order = tuple(var_order) if var_order is not None else tuple(sp.var for sp in specs)
+    order = tuple(var_order) if var_order is not None else ring.vars
     if sorted(order) != sorted(by_var):
         raise ValueError("var_order must permute the residue variables")
     step_of = {v: i for i, v in enumerate(order)}
-
-    scalar = ONE
-    pending: list[tuple[int, TruncatedSeries]] = []
-
-    def subring_for(variables: tuple) -> SeriesRing:
-        return SeriesRing(variables, tuple(ring.orders[ring.index(v)] for v in variables))
-
-    for item in factors:
-        poly, power = item if isinstance(item, tuple) else (item, 1)
-        support = tuple(v for v in poly.vars if v in by_var and poly.degree(v) > 0)
-        offsets = {v: by_var[v].center for v in support if by_var[v].center != 0}
-        shifted = poly.shift(offsets) if offsets else poly
-        if not support:
-            c = shifted.constant_value()
-            scalar = scalar * (c ** power if power >= 0 else qdiv(1, c ** -power))
-            continue
-        sub = subring_for(support)
-        base = sub.from_poly(shifted)
-        series = base ** power if power >= 0 else base.invert() ** (-power)
-        pending.append((min(step_of[v] for v in support), series))
-    for series in extra_series:
-        if series.ring != ring:
-            raise ValueError("extra series must live in the engine ring")
-        step = min((step_of[v] for v in series.support()), default=0)
-        pending.append((step, series))
+    scalar, expanded = _expand_factors(
+        factors, {v: sp.center for v, sp in by_var.items()}, ring)
+    pending = [(min(map(step_of.get, support)), series) for support, series in expanded]
 
     acc = ring.one()
     current = ring
@@ -309,6 +319,109 @@ def iterated_residue(factors: Sequence, specs: Sequence[ResidueSpec], *,
             acc = acc.coefficient(var, target)
         current = current.drop(var)
     return scalar * acc.constant_term()
+
+
+# -- integrand kernels ---------------------------------------------------
+
+_KERNELS: ContextVar[dict | None] = ContextVar("icelab_kernels", default=None)
+
+
+@contextmanager
+def kernel_scope():
+    """Within the with-block, each integrand kernel is built once and
+    reused by every contour call that needs it, until a kernel of other
+    weights is built; the kernels are dropped when the outermost scope
+    exits.  Outside a scope every call builds its kernel and drops it."""
+    if _KERNELS.get() is not None:
+        yield
+        return
+    token = _KERNELS.set({})
+    try:
+        yield
+    finally:
+        _KERNELS.reset(token)
+
+
+def _kernel(build, weights: HomogeneousWeights, orders: tuple) -> TruncatedSeries:
+    """``build(ring, weights)`` in the ring of z1..zs truncated at
+    ``orders``, memoized in the open kernel scope by the builder, the
+    weights (whose equality tells exact from float) and the orders.  The
+    memo keeps one weight triple: holding the kernels of a finished
+    triple would only raise the peak memory of a run."""
+    memo = _KERNELS.get()
+    key = (build, weights, orders)
+    kernel = None if memo is None else memo.get(key)
+    if kernel is None:
+        ring = SeriesRing(tuple(_zvar(j) for j in range(1, len(orders) + 1)), orders)
+        kernel = build(ring, weights)
+        if memo is not None:
+            if memo and next(iter(memo))[1] != weights:
+                memo.clear()
+            memo[key] = kernel
+    return kernel
+
+
+def _factor_product(ring: SeriesRing, factors: Sequence,
+                    first: TruncatedSeries | None = None) -> TruncatedSeries:
+    """The product of ``first`` (a series of the ring, if given) and the
+    factors, expanded around 0 as ``iterated_residue`` expands them.
+
+    Factors on the same variables are multiplied together first, and each
+    such block into one whose variables contain its own (a one-variable
+    factor into a pair factor), in the small rings of those variables;
+    only the remaining blocks are multiplied in the ring of all of them."""
+    scalar, expanded = _expand_factors(factors, dict.fromkeys(ring.vars, 0), ring)
+    blocks: dict = {}
+    for support, series in expanded:
+        key = frozenset(support)
+        held = blocks.get(key)
+        blocks[key] = series if held is None else held * held.ring.embed(series)
+    for key in sorted(blocks, key=len):
+        host = next((k for k in blocks if key < k), None)
+        if host is not None:
+            block = blocks.pop(key)
+            blocks[host] = blocks[host] * blocks[host].ring.embed(block)
+    acc = first
+    for block in blocks.values():
+        acc = ring.embed(block) if acc is None else acc * ring.embed(block)
+    if acc is None:
+        acc = ring.one()
+    return acc if scalar == 1 else acc * scalar
+
+
+def _read_residue(kernel: TruncatedSeries, h: Poly, targets: Sequence[int],
+                  scale=None):
+    """The coefficient of z^T in kernel * h(z_1 scale, ..., z_s scale), T =
+    ``targets``: the sum over the terms m of h of h[m] scale^|m|
+    kernel[T - m], with no series product.
+
+    Products are summed by |m| (all in one sum without ``scale``).  When
+    the kernel, h and the scale are exact, the sums run on integer
+    numerators over h's common denominator and the kernel's, and one
+    division at the end gives the rational."""
+    shifts = kernel.ring.packing.shifts
+    nums = kernel.nums
+    hden = common_denominator(h.terms.values()) if kernel.den else 0
+    sums: dict = {}
+    for e, c in h.aligned(kernel.ring.vars).terms.items():
+        key = 0
+        for target, x, shift in zip(targets, e, shifts):
+            if x > target:
+                break
+            key |= (target - x) << shift
+        else:
+            k = nums.get(key)
+            if k is not None:
+                d = sum(e) if scale is not None else 0
+                c = c.numerator * (hden // c.denominator) if hden else c
+                sums[d] = sums.get(d, 0) + c * k
+    if hden:   # exact weights, so the scale is exact too
+        p, q = (scale.numerator, scale.denominator) if scale is not None else (1, 1)
+        top = max(sums, default=0)
+        total = sum(v * p ** d * q ** (top - d) for d, v in sums.items())
+        return qdiv(total, hden * kernel.den * q ** top)
+    total = sum(v * scale ** d if d else v for d, v in sums.items())
+    return qdiv(total, kernel.den) if kernel.den > 1 else total
 
 
 def _compose_poly(poly: Poly, ring: SeriesRing,
@@ -349,6 +462,30 @@ def _substitute(p: Poly, ring: SeriesRing, variables: Sequence[str],
 # -- emptiness formation probability: three contour forms ---------------
 
 
+def _pair_inverse(zj: Poly, zk: Poly, t, delta) -> tuple:
+    """(t^2 z_j z_k - 2 delta t z_j + 1)^(-1), the pair factor that every
+    form divides by (with t = 1 in the Cauchy form's x variables)."""
+    return (zj * zk * (t * t) - zj * (2 * delta * t) + 1, -1)
+
+
+def _asym_kernel(ring: SeriesRing, weights: HomogeneousWeights) -> TruncatedSeries:
+    """prod_j (a z_j + 1)^(s-j) / (z_j - 1)^(s-j+1) times prod_{j<k}
+    (z_j - z_k) / (t^2 z_j z_k - 2 delta t z_j + 1), a = t^2 - 2 delta t."""
+    t, delta = weights.t, weights.delta
+    a = t * t - 2 * delta * t
+    zs = [Poly.variable(v) for v in ring.vars]
+    s = len(zs)
+    factors: list = []
+    for j, zj in enumerate(zs, 1):
+        if s - j:
+            factors.append((zj * a + 1, s - j))
+        factors.append((zj - 1, -(s - j + 1)))
+    for zj, zk in itertools.combinations(zs, 2):
+        factors.append(zj - zk)
+        factors.append(_pair_inverse(zj, zk, t, delta))
+    return _factor_product(ring, factors)
+
+
 def efp_contour_asym(n: int, r: int, s: int, weights: HomogeneousWeights,
                      extra_order: int = 0):
     """EFP as an s-fold integral around 0 with a non-symmetric integrand."""
@@ -356,24 +493,31 @@ def efp_contour_asym(n: int, r: int, s: int, weights: HomogeneousWeights,
         return ONE
     if not 1 <= r <= n:
         raise PositionsOutOfRange(f"r={r} outside 1..{n}")
+    kernel = _kernel(_asym_kernel, weights, (r - 1 + extra_order,) * s)
+    value = _read_residue(kernel, sym_generating_poly(n, s, weights), (r - 1,) * s)
+    return value if s % 2 == 0 else -value
+
+
+def _sym_kernel(ring: SeriesRing, weights: HomogeneousWeights) -> TruncatedSeries:
+    """prod_j (a z_j + 1)^(s-1) / (z_j - 1)^s times prod_{j<k} (z_k - z_j)^2
+    over both orderings of the pair factor, times h(s, s)(u_1..u_s) with
+    u_j = u(z_j)."""
     t, delta = weights.t, weights.delta
     a = t * t - 2 * delta * t
-    zs = [Poly.variable(_zvar(j)) for j in range(1, s + 1)]
+    zs = [Poly.variable(v) for v in ring.vars]
+    s = len(zs)
     factors: list = []
-    for j in range(1, s + 1):
-        zj = zs[j - 1]
-        if s - j:
-            factors.append((zj * a + 1, s - j))
-        factors.append((zj - 1, -(s - j + 1)))
-    for j in range(1, s + 1):
-        for k in range(j + 1, s + 1):
-            zj, zk = zs[j - 1], zs[k - 1]
-            factors.append(zj - zk)
-            factors.append((zj * zk * (t * t) - zj * (2 * delta * t) + 1, -1))
-    factors.append(sym_generating_poly(n, s, weights))
-    specs = [ResidueSpec(_zvar(j), 0, r - 1) for j in range(1, s + 1)]
-    value = iterated_residue(factors, specs, extra_order=extra_order)
-    return value if s % 2 == 0 else -value
+    for zj in zs:
+        factors.append((zj - 1, -s))
+        if s > 1:
+            factors.append((zj * a + 1, s - 1))
+    for zj, zk in itertools.combinations(zs, 2):
+        factors.append((zk - zj, 2))
+        factors.append(_pair_inverse(zj, zk, t, delta))
+        factors.append(_pair_inverse(zk, zj, t, delta))
+    u_series = {v: u_map(ring.var(v), t, delta) for v in ring.vars}
+    h_ss = _compose_poly(sym_generating_poly(s, s, weights), ring, u_series)
+    return _factor_product(ring, factors, h_ss)
 
 
 def efp_contour_sym(n: int, r: int, s: int, weights: HomogeneousWeights,
@@ -384,73 +528,55 @@ def efp_contour_sym(n: int, r: int, s: int, weights: HomogeneousWeights,
         return ONE
     if not 1 <= r <= n:
         raise PositionsOutOfRange(f"r={r} outside 1..{n}")
-    t, delta = weights.t, weights.delta
-    a = t * t - 2 * delta * t
+    kernel = _kernel(_sym_kernel, weights, (r - 1 + extra_order,) * s)
+    value = _read_residue(kernel, sym_generating_poly(n, s, weights), (r - 1,) * s)
     z_s = partition_function(s, weights)
-    specs = [ResidueSpec(_zvar(j), 0, r - 1) for j in range(1, s + 1)]
-    ring = residue_ring(specs, extra_order)
-    factors: list = []
-    u_series = {}
-    for j in range(1, s + 1):
-        zj = Poly.variable(_zvar(j))
-        factors.append((zj - 1, -s))
-        if s > 1:
-            factors.append((zj * a + 1, s - 1))
-        u_series[_zvar(j)] = u_map(ring.from_poly(zj), t, delta)
-    for j in range(1, s + 1):
-        for k in range(j + 1, s + 1):
-            zj, zk = Poly.variable(_zvar(j)), Poly.variable(_zvar(k))
-            factors.append((zk - zj, 2))
-            factors.append((zj * zk * (t * t) - zj * (2 * delta * t) + 1, -1))
-            factors.append((zj * zk * (t * t) - zk * (2 * delta * t) + 1, -1))
-    factors.append(sym_generating_poly(n, s, weights))
-    h_ss = _compose_poly(sym_generating_poly(s, s, weights), ring, u_series)
-    value = iterated_residue(factors, specs, extra_series=[h_ss],
-                             extra_order=extra_order)
     sign = -1 if (s + s * (s - 1) // 2) % 2 else 1
     pref = qdiv(z_s, weights.a ** (s * (s - 1)) * weights.c ** s)
     return qdiv(sign, math.factorial(s)) * pref * value
+
+
+def _cauchy_kernel(ring: SeriesRing, weights: HomogeneousWeights) -> TruncatedSeries:
+    """The Cauchy form's x-integrand without h(N, s), in the ring's
+    variables as x_1..x_s: prod_j ((t - 2 delta) x_j + 1)^(s-1) /
+    ((x_j - t) (t - x_j)^(s-1)) times prod_{j<k} (x_k - x_j)^2 over both
+    orderings of x_j x_k - 2 delta x_j + 1, times h(s, s)(u(x_1/t)..)."""
+    t, delta = weights.t, weights.delta
+    xs = [Poly.variable(v) for v in ring.vars]
+    s = len(xs)
+    factors: list = []
+    for xj in xs:
+        factors.append((xj - t, -1))
+        if s > 1:
+            factors.append((xj * (t - 2 * delta) + 1, s - 1))
+            factors.append((-xj + t, -(s - 1)))
+    for xj, xk in itertools.combinations(xs, 2):
+        factors.append((xk - xj, 2))
+        factors.append(_pair_inverse(xj, xk, 1, delta))
+        factors.append(_pair_inverse(xk, xj, 1, delta))
+    u_series = {v: u_map(ring.var(v) / t, t, delta) for v in ring.vars}
+    h_ss = _compose_poly(sym_generating_poly(s, s, weights), ring, u_series)
+    return _factor_product(ring, factors, h_ss)
 
 
 def efp_contour_cauchy(n: int, r: int, s: int, weights: HomogeneousWeights,
                        extra_order: int = 0):
     """EFP in the form obtained after integrating out one variable set:
     the x-integrand carries the homogeneous-limit Cauchy-determinant
-    ratio, expanded through the u-transformed generating polynomial."""
+    ratio, expanded through the u-transformed generating polynomial, and
+    h(N, s)(x_1/t, ..., x_s/t), whose 1/t rescaling the read folds in."""
     if s == 0:
         return ONE
     if not 1 <= r <= n:
         raise PositionsOutOfRange(f"r={r} outside 1..{n}")
-    t, delta = weights.t, weights.delta
-    z_s = partition_function(s, weights)
-    specs = [ResidueSpec(f"x{j}", 0, r - 1) for j in range(1, s + 1)]
-    ring = residue_ring(specs, extra_order)
-    factors: list = []
-    u_series = {}
-    for j in range(1, s + 1):
-        xj = Poly.variable(f"x{j}")
-        factors.append((xj - t, -1))
-        if s > 1:
-            factors.append((xj * (t - 2 * delta) + 1, s - 1))
-            factors.append((-xj + t, -(s - 1)))
-        u_series[_zvar(j)] = u_map(ring.from_poly(xj) / t, t, delta)
-    for j in range(1, s + 1):
-        for k in range(j + 1, s + 1):
-            xj, xk = Poly.variable(f"x{j}"), Poly.variable(f"x{k}")
-            factors.append((xk - xj, 2))
-            factors.append((xj * xk - xj * (2 * delta) + 1, -1))
-            factors.append((xj * xk - xk * (2 * delta) + 1, -1))
-    h_ns = sym_generating_poly(n, s, weights)
-    h_ns = h_ns.rename_vars({_zvar(j): f"x{j}" for j in range(1, s + 1)})
-    for j in range(1, s + 1):
-        h_ns = h_ns.scale_var(f"x{j}", qdiv(1, t))
-    factors.append(h_ns)
-    h_ss = _compose_poly(sym_generating_poly(s, s, weights), ring, u_series)
-    value = iterated_residue(factors, specs, extra_series=[h_ss],
-                             extra_order=extra_order)
+    t = weights.t
+    kernel = _kernel(_cauchy_kernel, weights, (r - 1 + extra_order,) * s)
+    value = _read_residue(kernel, sym_generating_poly(n, s, weights), (r - 1,) * s,
+                          scale=qdiv(1, t))
     # scalars: t^{s(r-1)} / s! from the formula, (-1)^{s(s-1)/2} from the
     # ordered pair product, (-1)^s Z_s t^{s^2} / (c^s b^{s(s-1)}) from the
     # homogeneous Cauchy ratio
+    z_s = partition_function(s, weights)
     sign = -1 if (s + s * (s - 1) // 2) % 2 else 1
     pref = qdiv(z_s, weights.c ** s * weights.b ** (s * (s - 1)))
     return qdiv(sign, math.factorial(s)) * t ** (s * (r - 1) + s * s) * pref * value
@@ -486,7 +612,7 @@ def efp_contour_double(n: int, r: int, s: int, weights: HomogeneousWeights,
             factors.append(yk - yj)
             factors.append(yj * yk - yk * (2 * delta) + 1)
             factors.append(xk - xj)
-            factors.append((xj * xk - xj * (2 * delta) + 1, -1))
+            factors.append(_pair_inverse(xj, xk, 1, delta))
     h_ns = sym_generating_poly(n, s, weights)
     h_ns = h_ns.rename_vars({_zvar(j): f"x{j}" for j in range(1, s + 1)})
     for j in range(1, s + 1):
@@ -504,6 +630,16 @@ def efp_contour_double(n: int, r: int, s: int, weights: HomogeneousWeights,
 # -- the two cut partition functions ------------------------------------
 
 
+def _zbot_kernel(ring: SeriesRing, weights: HomogeneousWeights) -> TruncatedSeries:
+    """prod_{j<k} (z_k - z_j) / (t^2 z_j z_k - 2 delta t z_j + 1)."""
+    t, delta = weights.t, weights.delta
+    factors: list = []
+    for zj, zk in itertools.combinations([Poly.variable(v) for v in ring.vars], 2):
+        factors.append(zk - zj)
+        factors.append(_pair_inverse(zj, zk, t, delta))
+    return _factor_product(ring, factors)
+
+
 def zbot_contour(n: int, s: int, positions: Sequence[int],
                  weights: HomogeneousWeights, extra_order: int = 0):
     """Bottom partition function as an s-fold integral around 0.
@@ -519,17 +655,10 @@ def zbot_contour(n: int, s: int, positions: Sequence[int],
         raise PositionsOutOfRange(f"expected {s} positions")
     if positions[0] <= 0:
         return 0 * ONE
-    t, delta = weights.t, weights.delta
-    factors: list = []
-    for j in range(1, s + 1):
-        for k in range(j + 1, s + 1):
-            zj, zk = Poly.variable(_zvar(j)), Poly.variable(_zvar(k))
-            factors.append(zk - zj)
-            factors.append((zj * zk * (t * t) - zj * (2 * delta * t) + 1, -1))
-    factors.append(sym_generating_poly(n, s, weights))
-    specs = [ResidueSpec(_zvar(j), 0, positions[j - 1] - 1)
-             for j in range(1, s + 1)]
-    value = iterated_residue(factors, specs, extra_order=extra_order)
+    t = weights.t
+    targets = tuple(p - 1 for p in positions)
+    kernel = _kernel(_zbot_kernel, weights, tuple(e + extra_order for e in targets))
+    value = _read_residue(kernel, sym_generating_poly(n, s, weights), targets)
     pref = partition_function(n, weights)
     pref = qdiv(pref, weights.a ** (s * (n - 1)) * weights.c ** s)
     for j in range(1, s + 1):

@@ -93,6 +93,14 @@ def test_poly_shift_and_scale():
     assert p.scale_var("x", Q(3)) == 9 * x**2
 
 
+def test_poly_repr_renders_floats_to_the_last_unit():
+    one = mpmath.mpf(1)
+    assert repr(Poly(("z",), {(0,): one})) != repr(Poly(("z",), {(0,): one + mpmath.eps}))
+    assert repr(Poly(("z",), {(1,): one + mpmath.eps})) == "Poly((1.0000000000000002)*z)"
+    exact = Poly(("x", "y"), {(2, 0): Q(3, 4), (1, 1): Q(-1), (0, 0): 5})
+    assert repr(exact) == "Poly((3/4)*x^2 + (-1)*x*y + (5))"
+
+
 def test_det_examples():
     assert det([[Q(1)]]) == 1
     z = Q(2, 3)

@@ -150,7 +150,7 @@ def test_float_backend_small_run():
 # seed=1, pinned so that a refactoring cannot change a report unnoticed
 REPORT_DIGESTS = {
     "exact": "84857537a0022b53ce4b306638c420507ee671d93e6eae5d3e8929db70d89f62",
-    "float": "855857a3623572d25edfdeb4e9ddb134c1ea6fbca8cd565cc7059eacba95f9c9",
+    "float": "4488f1b21d6233dc37da641d197104f97f71cfd188bf14ff69526ac400067975",
 }
 
 

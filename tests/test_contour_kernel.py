@@ -1,0 +1,319 @@
+"""The integrand kernels of the contour forms against the factor lists
+they replaced, and the scope that memoizes the kernels.
+
+``efp_contour_asym``, ``efp_contour_sym``, ``efp_contour_cauchy`` and
+``zbot_contour`` once handed their whole integrand, h(N, s) included, to
+``iterated_residue``; the symmetrized and Cauchy forms also passed
+h(s, s)(u_1..u_s) as a prebuilt series.  Those factor lists are kept here
+as the oracle, run through ``iterated_residue``, with h(s, s)(u) written
+as a polynomial over a power of each u's denominator, so that the oracle
+needs no prebuilt series.  Exact values must be equal; float values may
+differ by rounding only.
+"""
+
+import itertools
+import math
+from fractions import Fraction
+
+import mpmath
+import pytest
+from hypothesis import given, strategies as st
+
+from icelab import cli, correlations
+from icelab.algebra.field import qdiv, rel_err
+from icelab.algebra.poly import Poly
+from icelab.correlations import (ResidueSpec, efp_contour_asym, efp_contour_cauchy,
+                                 efp_contour_sym, iterated_residue, kernel_scope,
+                                 sym_generating_poly, zbot_contour)
+from icelab.lattice import (HomogeneousWeights, flux_sector_states,
+                            partition_function, positions_of)
+from test_generating_oracle import FEW, TRIPLES
+
+FF = HomogeneousWeights(Fraction(3), Fraction(4), Fraction(5))
+GEN = HomogeneousWeights(Fraction(2), Fraction(3), Fraction(4))
+HALF = HomogeneousWeights(Fraction(1, 2), Fraction(5, 3), Fraction(3, 2))
+FLOATS = HomogeneousWeights(mpmath.mpf("0.7"), mpmath.mpf("1.3"), mpmath.mpf("1.1"))
+
+
+# -- the oracle: the factor lists as they were ---------------------------------
+
+
+def _var(name: str, j: int) -> Poly:
+    return Poly.variable(f"{name}{j}")
+
+
+def composed(h: Poly, names: list, num, den) -> list:
+    """Factors of h(u_1..u_s), u_j = num(v_j) / den(v_j) for the variables
+    v_j named by ``names``: one polynomial over den(v_j)^D, D the largest
+    degree of h."""
+    top = max(h.degree(v) for v in h.vars)
+    nums = [num(Poly.variable(v)) for v in names]
+    dens = [den(Poly.variable(v)) for v in names]
+    total = Poly.zero(tuple(names))
+    for e, c in h.terms.items():
+        term = Poly.const(c, tuple(names))
+        for m, nj, dj in zip(e, nums, dens):
+            term = term * nj ** m * dj ** (top - m)
+        total = total + term
+    return [total] + [(dj, -top) for dj in dens]
+
+
+def oracle_asym(n, r, s, w, extra_order=0):
+    t, delta = w.t, w.delta
+    a = t * t - 2 * delta * t
+    zs = [_var("z", j) for j in range(1, s + 1)]
+    factors: list = []
+    for j in range(1, s + 1):
+        zj = zs[j - 1]
+        if s - j:
+            factors.append((zj * a + 1, s - j))
+        factors.append((zj - 1, -(s - j + 1)))
+    for zj, zk in itertools.combinations(zs, 2):
+        factors.append(zj - zk)
+        factors.append((zj * zk * (t * t) - zj * (2 * delta * t) + 1, -1))
+    factors.append(sym_generating_poly(n, s, w))
+    specs = [ResidueSpec(f"z{j}", 0, r - 1) for j in range(1, s + 1)]
+    value = iterated_residue(factors, specs, extra_order=extra_order)
+    return value if s % 2 == 0 else -value
+
+
+def oracle_sym(n, r, s, w, extra_order=0):
+    t, delta = w.t, w.delta
+    a = t * t - 2 * delta * t
+    zs = [_var("z", j) for j in range(1, s + 1)]
+    factors: list = []
+    for zj in zs:
+        factors.append((zj - 1, -s))
+        if s > 1:
+            factors.append((zj * a + 1, s - 1))
+    for zj, zk in itertools.combinations(zs, 2):
+        factors.append((zk - zj, 2))
+        factors.append((zj * zk * (t * t) - zj * (2 * delta * t) + 1, -1))
+        factors.append((zj * zk * (t * t) - zk * (2 * delta * t) + 1, -1))
+    factors.append(sym_generating_poly(n, s, w))
+    # u(z) = (1 - z) / (a z + 1)
+    factors += composed(sym_generating_poly(s, s, w), [f"z{j}" for j in range(1, s + 1)],
+                        lambda z: 1 - z, lambda z: z * a + 1)
+    specs = [ResidueSpec(f"z{j}", 0, r - 1) for j in range(1, s + 1)]
+    value = iterated_residue(factors, specs, extra_order=extra_order)
+    sign = -1 if (s + s * (s - 1) // 2) % 2 else 1
+    pref = qdiv(partition_function(s, w), w.a ** (s * (s - 1)) * w.c ** s)
+    return qdiv(sign, math.factorial(s)) * pref * value
+
+
+def oracle_cauchy(n, r, s, w, extra_order=0):
+    t, delta = w.t, w.delta
+    a = t * t - 2 * delta * t
+    xs = [_var("x", j) for j in range(1, s + 1)]
+    factors: list = []
+    for xj in xs:
+        factors.append((xj - t, -1))
+        if s > 1:
+            factors.append((xj * (t - 2 * delta) + 1, s - 1))
+            factors.append((-xj + t, -(s - 1)))
+    for xj, xk in itertools.combinations(xs, 2):
+        factors.append((xk - xj, 2))
+        factors.append((xj * xk - xj * (2 * delta) + 1, -1))
+        factors.append((xj * xk - xk * (2 * delta) + 1, -1))
+    h_ns = sym_generating_poly(n, s, w)
+    h_ns = h_ns.rename_vars({f"z{j}": f"x{j}" for j in range(1, s + 1)})
+    for j in range(1, s + 1):
+        h_ns = h_ns.scale_var(f"x{j}", qdiv(1, t))
+    factors.append(h_ns)
+    # u(x / t) = (t - x) / (a x + t)
+    factors += composed(sym_generating_poly(s, s, w), [f"x{j}" for j in range(1, s + 1)],
+                        lambda x: t - x, lambda x: x * a + t)
+    specs = [ResidueSpec(f"x{j}", 0, r - 1) for j in range(1, s + 1)]
+    value = iterated_residue(factors, specs, extra_order=extra_order)
+    sign = -1 if (s + s * (s - 1) // 2) % 2 else 1
+    pref = qdiv(partition_function(s, w), w.c ** s * w.b ** (s * (s - 1)))
+    return qdiv(sign, math.factorial(s)) * t ** (s * (r - 1) + s * s) * pref * value
+
+
+def oracle_zbot(n, s, positions, w, extra_order=0):
+    t, delta = w.t, w.delta
+    zs = [_var("z", j) for j in range(1, s + 1)]
+    factors: list = []
+    for zj, zk in itertools.combinations(zs, 2):
+        factors.append(zk - zj)
+        factors.append((zj * zk * (t * t) - zj * (2 * delta * t) + 1, -1))
+    factors.append(sym_generating_poly(n, s, w))
+    specs = [ResidueSpec(f"z{j}", 0, positions[j - 1] - 1) for j in range(1, s + 1)]
+    value = iterated_residue(factors, specs, extra_order=extra_order)
+    pref = qdiv(partition_function(n, w), w.a ** (s * (n - 1)) * w.c ** s)
+    for j in range(1, s + 1):
+        pref = pref * t ** (j - positions[j - 1])
+    return pref * value
+
+
+EFP_FORMS = ((efp_contour_asym, oracle_asym), (efp_contour_sym, oracle_sym),
+             (efp_contour_cauchy, oracle_cauchy))
+
+
+def efp_cases(n_max: int, s_max: int):
+    for n in range(1, n_max + 1):
+        for r in range(1, n + 1):
+            for s in range(1, min(r, s_max) + 1):
+                yield n, r, s
+
+
+def position_sets(n_max: int):
+    for n in range(1, n_max + 1):
+        for s in range(1, n + 1):
+            for state in flux_sector_states(n, s):
+                yield n, s, positions_of(state)
+
+
+def assert_exactly(got, want):
+    assert got == want
+    assert not isinstance(got, mpmath.mpf)
+
+
+# -- exact weights: equal values -------------------------------------------------
+
+
+@pytest.mark.parametrize("extra_order", (0, 2))
+@pytest.mark.parametrize("weights", (FF, GEN, HALF), ids=("FF", "GEN", "HALF"))
+def test_efp_kernels_match_the_factor_lists(weights, extra_order):
+    with kernel_scope():
+        for n, r, s in efp_cases(5, 4):
+            for form, oracle in EFP_FORMS:
+                assert_exactly(form(n, r, s, weights, extra_order),
+                               oracle(n, r, s, weights, extra_order))
+
+
+@pytest.mark.parametrize("weights", (FF, GEN, HALF), ids=("FF", "GEN", "HALF"))
+def test_zbot_kernel_matches_the_factor_list(weights):
+    with kernel_scope():
+        for n, s, pos in position_sets(4):
+            assert_exactly(zbot_contour(n, s, pos, weights),
+                           oracle_zbot(n, s, pos, weights))
+            assert_exactly(zbot_contour(n, s, pos, weights, extra_order=1),
+                           oracle_zbot(n, s, pos, weights))
+
+
+@FEW
+@given(TRIPLES, st.data())
+def test_kernels_match_the_factor_lists_on_random_weights(triple, data):
+    weights = HomogeneousWeights(*triple)
+    n = data.draw(st.integers(1, 4))
+    r = data.draw(st.integers(1, n))
+    s = data.draw(st.integers(1, r))
+    for form, oracle in EFP_FORMS:
+        assert_exactly(form(n, r, s, weights), oracle(n, r, s, weights))
+    pos = data.draw(st.sampled_from([p for m, k, p in position_sets(n) if m == n]))
+    assert_exactly(zbot_contour(n, len(pos), pos, weights),
+                   oracle_zbot(n, len(pos), pos, weights))
+
+
+# -- float weights: equal up to rounding -------------------------------------------
+
+
+def test_float_kernels_match_the_factor_lists_to_rounding():
+    # the kernel and the oracle round in different orders; the reports
+    # judge these values against enumeration at a tolerance of 1e-8
+    slack = 2 ** 12 * mpmath.eps
+    with kernel_scope():
+        for n, r, s in efp_cases(4, 3):
+            for form, oracle in EFP_FORMS:
+                got = form(n, r, s, FLOATS)
+                assert isinstance(got, mpmath.mpf)
+                assert rel_err(got, oracle(n, r, s, FLOATS)) <= slack, (form, n, r, s)
+        for n, s, pos in position_sets(4):
+            assert rel_err(zbot_contour(n, s, pos, FLOATS),
+                           oracle_zbot(n, s, pos, FLOATS)) <= slack
+
+
+# -- the kernel scope ------------------------------------------------------------
+
+
+def memo():
+    return correlations._KERNELS.get()
+
+
+def count_builds(monkeypatch, name: str) -> list:
+    """Record each call of the kernel builder ``name``."""
+    calls = []
+    build = getattr(correlations, name)
+
+    def counted(ring, weights):
+        calls.append(ring.orders)
+        return build(ring, weights)
+
+    monkeypatch.setattr(correlations, name, counted)
+    return calls
+
+
+def test_a_scope_builds_each_kernel_once(monkeypatch):
+    builds = count_builds(monkeypatch, "_sym_kernel")
+    with kernel_scope():
+        values = [efp_contour_sym(n, 3, 2, GEN) for n in (3, 4, 5)]
+        assert builds == [(2, 2)]
+        # keyed by the exact orders: a wider truncation is its own kernel
+        assert efp_contour_sym(4, 3, 2, GEN, extra_order=2) == values[1]
+        assert builds == [(2, 2), (4, 4)]
+        with kernel_scope():   # an inner scope shares the outer memo
+            efp_contour_sym(5, 3, 2, GEN)
+        assert len(builds) == 2 and len(memo()) == 2
+    assert memo() is None
+    assert values == [oracle_sym(n, 3, 2, GEN) for n in (3, 4, 5)]
+
+
+def test_a_call_outside_a_scope_leaves_no_entry(monkeypatch):
+    builds = count_builds(monkeypatch, "_asym_kernel")
+    assert memo() is None
+    for _ in range(2):
+        efp_contour_asym(4, 3, 2, FF)
+        assert memo() is None
+    assert len(builds) == 2
+
+
+def test_float_weights_never_feed_an_exact_call():
+    floats = HomogeneousWeights(mpmath.mpf(3), mpmath.mpf(4), mpmath.mpf(5))
+    outside = [form(4, 3, s, FF) for form, _ in EFP_FORMS for s in (1, 2)]
+    with kernel_scope():
+        for weights in (floats, FF, floats):
+            got = [form(4, 3, s, weights) for form, _ in EFP_FORMS for s in (1, 2)]
+            if weights is FF:
+                for value, want in zip(got, outside):
+                    assert_exactly(value, want)
+            else:
+                assert all(isinstance(v, mpmath.mpf) for v in got)
+                assert all(rel_err(v, w) < 1e-12 for v, w in zip(got, outside))
+
+
+def test_the_memo_is_empty_after_cli_run(monkeypatch):
+    seen = []
+    asym = correlations.efp_contour_asym
+
+    def spy(*args, **kwargs):
+        value = asym(*args, **kwargs)
+        seen.append(len(memo()))
+        return value
+
+    monkeypatch.setattr(correlations, "efp_contour_asym", spy)
+    code, _ = cli.run(cli.SuiteConfig(suites=("efp",), n_max=3, s_max=2, draws=2))
+    assert code == 0 and max(seen) > 0
+    assert memo() is None
+
+
+def test_the_memo_is_empty_after_a_suite_raised(monkeypatch):
+    def broken(run, rng):
+        efp_contour_asym(3, 2, 2, FF)
+        assert len(memo()) == 1
+        raise RuntimeError("suite failed")
+
+    monkeypatch.setitem(cli._SUITE_FNS, "efp", broken)
+    with pytest.raises(RuntimeError, match="suite failed"):
+        cli.run(cli.SuiteConfig(suites=("efp",), n_max=3, s_max=2, draws=1))
+    assert memo() is None
+
+
+def test_a_kernel_of_new_weights_drops_the_old_triple():
+    with kernel_scope():
+        efp_contour_asym(4, 3, 2, FF)
+        efp_contour_sym(4, 3, 2, FF)
+        assert {key[1] for key in memo()} == {FF}
+        efp_contour_asym(4, 3, 2, GEN)
+        assert {key[1] for key in memo()} == {GEN} and len(memo()) == 1
+

@@ -12,7 +12,7 @@ from icelab.correlations import (ResidueSpec,
                                  check_symmetric_residue_collapse,
                                  efp_contour_asym, efp_contour_cauchy,
                                  efp_contour_double, efp_contour_sym,
-                                 iterated_residue, residue_ring,
+                                 iterated_residue,
                                  sym_generating_at, sym_generating_poly,
                                  u_map, zbot_contour, ztop_contour)
 from icelab.errors import CoincidingParameters, PoleHit, PositionsOutOfRange
@@ -176,42 +176,6 @@ def test_residue_processing_order_independence():
         baseline = iterated_residue(factors, specs)
         for order in itertools.permutations(names):
             assert iterated_residue(factors, specs, var_order=order) == baseline
-
-
-def test_residue_order_independence_with_extra_series():
-    # the contour EFP forms pass a prebuilt series in the engine ring; its
-    # merge step comes from the variables it holds, whatever var_order is
-    rng = DeterministicRng(29)
-    names = ("z1", "z2", "z3")
-    specs = [ResidueSpec(v, 0, 2) for v in names]
-    ring = residue_ring(specs)
-    z = {v: Poly.variable(v) for v in names}
-    for _ in range(10):
-        c = Q(1 + rng.below(4), 1 + rng.below(4))
-        pair = 1 + c * z["z1"] * z["z3"]
-        single = Poly(("z2",), {(k,): Q(1 + rng.below(5), 1 + rng.below(3))
-                                for k in range(3)})
-        poly = Poly(names, {(rng.below(3), rng.below(3), rng.below(3)):
-                            Q(1 + rng.below(9)) for _ in range(4)})
-        factors = [(1 + c * z["z1"] * z["z2"], -1), poly]
-        extra = [ring.from_poly(pair).invert(), ring.from_poly(single),
-                 ring.const(Q(3, 7))]
-        baseline = iterated_residue(factors + [(pair, -1), single, Q(3, 7) + 0 * z["z1"]],
-                                    specs)
-        for order in itertools.permutations(names):
-            assert iterated_residue(factors, specs, extra_series=extra,
-                                    var_order=order) == baseline
-
-
-def test_extra_series_must_live_in_the_engine_ring():
-    # the engine builds residue_ring(specs, extra_order) itself; a series
-    # from the ring of another extra order is refused
-    specs = [ResidueSpec(v, 0, 1) for v in ("z1", "z2")]
-    factors = [1 + Poly.variable("z1") * Poly.variable("z2")]
-    extra = [residue_ring(specs).const(Q(3, 7))]
-    assert iterated_residue(factors, specs, extra_series=extra) == Q(3, 7)
-    with pytest.raises(ValueError, match="engine ring"):
-        iterated_residue(factors, specs, extra_series=extra, extra_order=1)
 
 
 # -- emptiness formation probability ---------------------------------------
