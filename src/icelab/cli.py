@@ -9,21 +9,21 @@ report is byte-identical across runs (timings are kept out of it).
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import os
 import sys
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import mpmath
 
 from . import correlations, identities, izergin_korepin, lattice
-from .algebra.field import ONE, float_precision, rational
+from .algebra.field import ONE, float_precision, qdiv, rational
 from .algebra.poly import Poly
 from .errors import ConfigError, UsageError
-from .report import CheckReport
+from .report import STATUSES, CheckReport
 from .sampling import (DeterministicRng, asep_parameters, distinct_rationals,
                        float_weight_triple, trig_parameters, weight_triple)
 
@@ -143,91 +143,84 @@ class _Runner:
         self.exact = config.backend == "exact"
         self.reports: list[CheckReport] = []
 
-    def compare(self, check_id, params, lhs, rhs, *, exact=None):
-        exact = self.exact if exact is None else exact
-        self.reports.append(CheckReport.from_comparison(
-            check_id, params, lhs, rhs, exact=exact,
-            tolerance=self.config.tolerance))
-
-    def check(self, check_id, params, sides, *args, exact):
-        """One guarded check of an identity whose two sides are
-        ``sides(*args)``; an error is reported with the same params."""
-        with self.guard(check_id, **params):
-            self.compare(check_id, params, *sides(*args), exact=exact)
-
-    @contextmanager
-    def guard(self, check_id, **params):
-        """Run the body of the with-block as one check; an error becomes a
-        fail report with the given params.  The body's time goes to the last
-        report it appended, if it appended any."""
+    def check(self, check_id, params, sides, *args, exact=None):
+        """Report one instance of an identity whose two sides are
+        ``sides(*args)``, under its own guard and clock: an error becomes a
+        report with the same id and params.  The suites build weights and
+        shared values inside ``sides``, through memos that die with the
+        suite, so that an error reaches the report of every check it
+        touches (a memo does not keep an exception)."""
         start = time.monotonic()
-        before = len(self.reports)
         try:
-            yield
+            lhs, rhs = sides(*args)
+            report = CheckReport.from_comparison(
+                check_id, params, lhs, rhs,
+                exact=self.exact if exact is None else exact,
+                tolerance=self.config.tolerance)
         except Exception as exc:  # never crash the runner
-            self.reports.append(CheckReport.from_error(check_id, params, exc))
-        if len(self.reports) > before:
-            self.reports[-1].elapsed_ms = int(1000 * (time.monotonic() - start))
+            report = CheckReport.from_error(check_id, params, exc)
+        report.elapsed_ms = int(1000 * (time.monotonic() - start))
+        self.reports.append(report)
 
     def triples(self, rng: DeterministicRng, count: int):
-        """(draw, (a, b, c)) weight triples for a suite: explicit overrides,
-        else the free-fermion triple followed by sampled ones."""
-        if self.config.weight_triples:
-            return list(enumerate(self.config.weight_triples))
-        out = [(rational(3), rational(4), rational(5))] if self.exact else []
-        sample = weight_triple if self.exact else float_weight_triple
-        while len(out) < count:
-            w = sample(rng)
-            out.append((w.a, w.b, w.c))
-        return list(enumerate(out))
+        """(draw, (a, b, c), weights) for a suite: explicit overrides, else
+        the free-fermion triple followed by sampled ones.  ``weights()``
+        builds the ``HomogeneousWeights`` once, in the first check that asks,
+        and raises again in each later one if they are degenerate."""
+        specs = list(self.config.weight_triples)
+        if not specs:
+            specs = [(rational(3), rational(4), rational(5))] if self.exact else []
+            sample = weight_triple if self.exact else float_weight_triple
+            while len(specs) < count:
+                w = sample(rng)
+                specs.append((w.a, w.b, w.c))
+        return [(draw, spec,
+                 functools.cache(functools.partial(lattice.HomogeneousWeights, *spec)))
+                for draw, spec in enumerate(specs)]
 
 
 def _suite_partition(run: _Runner, rng: DeterministicRng):
     cfg = run.config
-    for draw, spec in run.triples(rng, min(cfg.draws, 5)):
-        with run.guard("partition.transfer_vs_brute", draw=draw):
-            w = lattice.HomogeneousWeights(*spec)
-            for n in range(1, min(cfg.n_max, 4) + 1):
-                run.compare("partition.transfer_vs_brute",
-                            {"draw": draw, "n": n, "weights": spec},
-                            lattice.partition_function(n, w),
-                            lattice.brute_force_partition(n, w))
-            run.compare("partition.fold_direction",
-                        {"draw": draw, "n": cfg.n_max, "weights": spec},
-                        lattice.partition_function(cfg.n_max, w),
-                        lattice.partition_function_bottom_up(cfg.n_max, w))
+    for draw, spec, w in run.triples(rng, min(cfg.draws, 5)):
+        for n in range(1, min(cfg.n_max, 4) + 1):
+            run.check("partition.transfer_vs_brute",
+                      {"draw": draw, "n": n, "weights": spec},
+                      lambda: (lattice.partition_function(n, w()),
+                               lattice.brute_force_partition(n, w())))
+        run.check("partition.fold_direction",
+                  {"draw": draw, "n": cfg.n_max, "weights": spec},
+                  lambda: (lattice.partition_function(cfg.n_max, w()),
+                           lattice.partition_function_bottom_up(cfg.n_max, w())))
 
     for draw in range(cfg.draws):
         lams, nus, eta = trig_parameters(rng, min(cfg.n_max, 5))
-        with run.guard("partition.inhomogeneous_det_vs_transfer", draw=draw):
-            for n in range(1, min(cfg.n_max, 5) + 1):
-                run.compare(
-                    "partition.inhomogeneous_det_vs_transfer",
-                    {"draw": draw, "n": n, "eta": eta},
-                    izergin_korepin.ik_inhomogeneous(lams[:n], nus[:n], eta),
-                    lattice.partition_function(
-                        n, lattice.InhomogeneousWeights(lams[:n], nus[:n], eta)),
-                    exact=False)
-            n = min(cfg.n_max, 5)
-            if n >= 2:
-                swapped = (lams[1], lams[0]) + lams[2:n]
-                run.compare(
-                    "partition.inhomogeneous_symmetry",
-                    {"draw": draw, "n": n},
-                    izergin_korepin.ik_inhomogeneous(lams[:n], nus[:n], eta),
-                    izergin_korepin.ik_inhomogeneous(swapped, nus[:n], eta),
-                    exact=False)
+        for n in range(1, min(cfg.n_max, 5) + 1):
+            run.check(
+                "partition.inhomogeneous_det_vs_transfer",
+                {"draw": draw, "n": n, "eta": eta},
+                lambda: (izergin_korepin.ik_inhomogeneous(lams[:n], nus[:n], eta),
+                         lattice.partition_function(
+                             n, lattice.InhomogeneousWeights(lams[:n], nus[:n], eta))),
+                exact=False)
+        n = min(cfg.n_max, 5)
+        if n >= 2:
+            swapped = (lams[1], lams[0]) + lams[2:n]
+            run.check(
+                "partition.inhomogeneous_symmetry",
+                {"draw": draw, "n": n},
+                lambda: (izergin_korepin.ik_inhomogeneous(lams[:n], nus[:n], eta),
+                         izergin_korepin.ik_inhomogeneous(swapped, nus[:n], eta)),
+                exact=False)
 
         lam0 = rng.uniform(mpmath.mpf("0.95"), mpmath.mpf("1.8"))
-        with run.guard("partition.homogeneous_det_vs_transfer", draw=draw):
-            for n in range(1, min(cfg.n_max, 6) + 1):
-                w = lattice.weights_from_trig(lam0, eta)
-                run.compare(
-                    "partition.homogeneous_det_vs_transfer",
-                    {"draw": draw, "n": n, "lam": lam0, "eta": eta},
-                    izergin_korepin.ik_homogeneous(lam0, eta, n),
-                    lattice.partition_function(n, w),
-                    exact=False)
+        for n in range(1, min(cfg.n_max, 6) + 1):
+            run.check(
+                "partition.homogeneous_det_vs_transfer",
+                {"draw": draw, "n": n, "lam": lam0, "eta": eta},
+                lambda: (izergin_korepin.ik_homogeneous(lam0, eta, n),
+                         lattice.partition_function(
+                             n, lattice.weights_from_trig(lam0, eta))),
+                exact=False)
         n = min(cfg.n_max, 5)
         run.check("partition.partial_inhomogeneous_factorization",
                   {"draw": draw, "n": n, "lam0": lam0, "lambdas": lams[:n]},
@@ -237,33 +230,34 @@ def _suite_partition(run: _Runner, rng: DeterministicRng):
 
 def _suite_boundary(run: _Runner, rng: DeterministicRng):
     cfg = run.config
-    for draw, spec in run.triples(rng, min(cfg.draws, 5)):
-        with run.guard("boundary.sum_rule", draw=draw):
-            w = lattice.HomogeneousWeights(*spec)
-            for n in range(1, cfg.n_max + 1):
-                total = sum(lattice.boundary_correlation(n, w, r)
-                            for r in range(1, n + 1))
-                run.compare("boundary.sum_rule",
-                            {"draw": draw, "n": n, "weights": spec},
-                            total, ONE)
-            run.compare("boundary.single_site",
-                        {"draw": draw, "weights": spec},
-                        lattice.boundary_correlation(1, w, 1), ONE)
-            for n in range(1, min(cfg.n_max, 5) + 1):
-                for s in range(n + 1):
-                    z = lattice.partition_function(n, w)
-                    total = sum(
-                        lattice.z_top_enum(n, s, lattice.positions_of(st), w)
-                        * lattice.z_bot_enum(n, s, lattice.positions_of(st), w)
-                        for st in lattice.flux_sector_states(n, s))
-                    run.compare("boundary.cut_completeness",
-                                {"draw": draw, "n": n, "s": s}, total, z)
-    with run.guard("boundary.equal_weights_split"):
-        w = lattice.HomogeneousWeights(rational(2), rational(2), rational(3))
-        run.compare("boundary.equal_weights_split", {"n": 2},
-                    (lattice.boundary_correlation(2, w, 1),
-                     lattice.boundary_correlation(2, w, 2)),
-                    (rational(1, 2), rational(1, 2)), exact=True)
+
+    def cut_completeness(n, s, w):
+        total = sum(lattice.z_top_enum(n, s, lattice.positions_of(st), w)
+                    * lattice.z_bot_enum(n, s, lattice.positions_of(st), w)
+                    for st in lattice.flux_sector_states(n, s))
+        return total, lattice.partition_function(n, w)
+
+    for draw, spec, w in run.triples(rng, min(cfg.draws, 5)):
+        for n in range(1, cfg.n_max + 1):
+            run.check("boundary.sum_rule",
+                      {"draw": draw, "n": n, "weights": spec},
+                      lambda: (sum(lattice.boundary_correlation(n, w(), r)
+                                   for r in range(1, n + 1)), ONE))
+        run.check("boundary.single_site",
+                  {"draw": draw, "weights": spec},
+                  lambda: (lattice.boundary_correlation(1, w(), 1), ONE))
+        for n in range(1, min(cfg.n_max, 5) + 1):
+            for s in range(n + 1):
+                run.check("boundary.cut_completeness",
+                          {"draw": draw, "n": n, "s": s},
+                          lambda: cut_completeness(n, s, w()))
+    equal = functools.partial(lattice.HomogeneousWeights,
+                              rational(2), rational(2), rational(3))
+    run.check("boundary.equal_weights_split", {"n": 2},
+              lambda: ((lattice.boundary_correlation(2, equal(), 1),
+                        lattice.boundary_correlation(2, equal(), 2)),
+                       (rational(1, 2), rational(1, 2))),
+              exact=True)
 
 
 def _suite_generating(run: _Runner, rng: DeterministicRng):
@@ -271,62 +265,63 @@ def _suite_generating(run: _Runner, rng: DeterministicRng):
     n_top = min(cfg.n_max, 6)
     tol = 0.0 if run.exact else cfg.tolerance
 
-    for draw, spec in run.triples(rng, min(cfg.draws, 5)):
-        with run.guard("generating.normalization", draw=draw):
-            w = lattice.HomogeneousWeights(*spec)
-            for n in range(1, cfg.n_max + 1):
-                gf = correlations.boundary_generating_fn(n, w)
-                run.compare("generating.normalization",
-                            {"draw": draw, "n": n}, gf.eval(ONE), ONE)
-            for n in range(1, n_top + 1):
-                run.compare("generating.single_row_consistency",
-                            {"draw": draw, "n": n},
-                            correlations.sym_generating_poly(n, 1, w),
-                            correlations.boundary_generating_fn(n, w).as_poly("z1"))
-                for s in range(1, n + 1):
-                    h = correlations.sym_generating_poly(n, s, w)
-                    degree_ok = all(h.degree(f"z{j}") <= n - 1
-                                    for j in range(1, s + 1))
-                    run.compare("generating.symmetry_and_degree",
-                                {"draw": draw, "n": n, "s": s},
-                                (h.is_symmetric(tol), degree_ok), (True, True),
-                                exact=True)
-                    reduced = h.eval_partial({f"z{s}": ONE})
-                    target = correlations.sym_generating_poly(n, s - 1, w) \
-                        if s > 1 else Poly.const(ONE, reduced.vars)
-                    run.compare("generating.reduction",
-                                {"draw": draw, "n": n, "s": s}, reduced, target)
+    def symmetry_and_degree(n, s, w):
+        h = correlations.sym_generating_poly(n, s, w)
+        degree_ok = all(h.degree(f"z{j}") <= n - 1 for j in range(1, s + 1))
+        return (h.is_symmetric(tol), degree_ok), (True, True)
+
+    def reduction(n, s, w):
+        reduced = correlations.sym_generating_poly(n, s, w).eval_partial({f"z{s}": ONE})
+        target = correlations.sym_generating_poly(n, s - 1, w) \
+            if s > 1 else Poly.const(ONE, reduced.vars)
+        return reduced, target
+
+    for draw, spec, w in run.triples(rng, min(cfg.draws, 5)):
+        for n in range(1, cfg.n_max + 1):
+            run.check("generating.normalization", {"draw": draw, "n": n},
+                      lambda: (correlations.boundary_generating_fn(n, w()).eval(ONE),
+                               ONE))
+        for n in range(1, n_top + 1):
+            run.check("generating.single_row_consistency", {"draw": draw, "n": n},
+                      lambda: (correlations.sym_generating_poly(n, 1, w()),
+                               correlations.boundary_generating_fn(
+                                   n, w()).as_poly("z1")))
+            for s in range(1, n + 1):
+                run.check("generating.symmetry_and_degree",
+                          {"draw": draw, "n": n, "s": s},
+                          lambda: symmetry_and_degree(n, s, w()),
+                          exact=True)
+                run.check("generating.reduction", {"draw": draw, "n": n, "s": s},
+                          lambda: reduction(n, s, w()))
 
 
 def _suite_efp(run: _Runner, rng: DeterministicRng):
     cfg = run.config
-    for draw, spec in run.triples(rng, min(cfg.draws, 4)):
-        with run.guard("efp.quadrangle", draw=draw):
-            w = lattice.HomogeneousWeights(*spec)
-            for n in range(1, cfg.n_max + 1):
-                for r in range(1, n + 1):
-                    for s in range(1, min(r, cfg.s_max) + 1):
-                        truth = lattice.efp_enum(n, r, s, w)
-                        for name, fn in (
-                                ("asym_integral", correlations.efp_contour_asym),
-                                ("sym_integral", correlations.efp_contour_sym),
-                                ("cauchy_integral", correlations.efp_contour_cauchy)):
-                            run.compare(f"efp.{name}_vs_enum",
-                                        {"draw": draw, "n": n, "r": r, "s": s},
-                                        fn(n, r, s, w), truth)
-            for n in range(1, min(cfg.n_max, 4) + 1):
-                for r in range(1, n + 1):
-                    for s in range(1, min(r, 3, cfg.s_max) + 1):
-                        run.compare("efp.double_integral_vs_enum",
-                                    {"draw": draw, "n": n, "r": r, "s": s},
-                                    correlations.efp_contour_double(n, r, s, w),
-                                    lattice.efp_enum(n, r, s, w))
-            n = min(cfg.n_max, 4)
-            s = min(2, n, cfg.s_max)
-            run.compare("efp.truncation_stability",
-                        {"draw": draw, "n": n, "r": n, "s": s},
-                        correlations.efp_contour_sym(n, n, s, w),
-                        correlations.efp_contour_sym(n, n, s, w, extra_order=2))
+    efp_enum = functools.cache(lattice.efp_enum)  # shared by four checks
+    for draw, spec, w in run.triples(rng, min(cfg.draws, 4)):
+        for n in range(1, cfg.n_max + 1):
+            for r in range(1, n + 1):
+                for s in range(1, min(r, cfg.s_max) + 1):
+                    for name, fn in (
+                            ("asym_integral", correlations.efp_contour_asym),
+                            ("sym_integral", correlations.efp_contour_sym),
+                            ("cauchy_integral", correlations.efp_contour_cauchy)):
+                        run.check(f"efp.{name}_vs_enum",
+                                  {"draw": draw, "n": n, "r": r, "s": s},
+                                  lambda: (fn(n, r, s, w()), efp_enum(n, r, s, w())))
+        for n in range(1, min(cfg.n_max, 4) + 1):
+            for r in range(1, n + 1):
+                for s in range(1, min(r, 3, cfg.s_max) + 1):
+                    run.check("efp.double_integral_vs_enum",
+                              {"draw": draw, "n": n, "r": r, "s": s},
+                              lambda: (correlations.efp_contour_double(n, r, s, w()),
+                                       efp_enum(n, r, s, w())))
+        n = min(cfg.n_max, 4)
+        s = min(2, n, cfg.s_max)
+        run.check("efp.truncation_stability",
+                  {"draw": draw, "n": n, "r": n, "s": s},
+                  lambda: (correlations.efp_contour_sym(n, n, s, w()),
+                           correlations.efp_contour_sym(n, n, s, w(), extra_order=2)))
 
     for s in range(1, min(3, cfg.s_max) + 1):
         for r in (2, 3):
@@ -363,38 +358,42 @@ def _random_symmetric_poly(rng: DeterministicRng, s: int) -> Poly:
 def _suite_rcp(run: _Runner, rng: DeterministicRng):
     cfg = run.config
     n_top = min(cfg.n_max, 4)
-    for draw, spec in run.triples(rng, min(cfg.draws, 4)):
-        with run.guard("rcp.bottom_integral_vs_enum", draw=draw):
-            w = lattice.HomogeneousWeights(*spec)
-            for n in range(1, n_top + 1):
-                z = lattice.partition_function(n, w)
-                for s in range(n + 1):
-                    total = None
-                    contours = s <= cfg.s_max  # integral cost is bound by s_max
+    # each value is shared by two of the checks below
+    zbot = functools.cache(correlations.zbot_contour)
+    ztop = functools.cache(correlations.ztop_contour)
+    rcp_enum = functools.cache(lattice.rcp_enum)
+
+    def cut_product(n, s, pos, w):
+        return (qdiv(ztop(n, s, pos, w) * zbot(n, s, pos, w),
+                     lattice.partition_function(n, w)),
+                rcp_enum(n, s, pos, w))
+
+    def completeness(n, s, w):
+        return sum(rcp_enum(n, s, lattice.positions_of(st), w)
+                   for st in lattice.flux_sector_states(n, s)), ONE
+
+    for draw, spec, w in run.triples(rng, min(cfg.draws, 4)):
+        for n in range(1, n_top + 1):
+            for s in range(n + 1):
+                if s <= cfg.s_max:  # integral cost is bound by s_max
                     for st in lattice.flux_sector_states(n, s):
                         pos = lattice.positions_of(st)
-                        prob = lattice.rcp_enum(n, s, pos, w)
-                        total = prob if total is None else total + prob
-                        if not contours:
-                            continue
-                        zb = correlations.zbot_contour(n, s, pos, w)
-                        zt = correlations.ztop_contour(n, s, pos, w)
-                        run.compare("rcp.bottom_integral_vs_enum",
-                                    {"draw": draw, "n": n, "s": s, "pos": pos},
-                                    zb, lattice.z_bot_enum(n, s, pos, w))
-                        run.compare("rcp.top_integral_vs_enum",
-                                    {"draw": draw, "n": n, "s": s, "pos": pos},
-                                    zt, lattice.z_top_enum(n, s, pos, w))
-                        run.compare("rcp.cut_product_vs_probability",
-                                    {"draw": draw, "n": n, "s": s, "pos": pos},
-                                    zt * zb / z, prob)
-                    run.compare("rcp.completeness",
-                                {"draw": draw, "n": n, "s": s}, total, ONE)
-            for pos in ((0, 2), (-1, 1, 2)):
-                run.compare("rcp.nonpositive_position_vanishing",
-                            {"draw": draw, "n": n_top, "pos": pos},
-                            correlations.zbot_contour(n_top, len(pos), pos, w),
-                            0 * ONE)
+                        params = {"draw": draw, "n": n, "s": s, "pos": pos}
+                        run.check("rcp.bottom_integral_vs_enum", params,
+                                  lambda: (zbot(n, s, pos, w()),
+                                           lattice.z_bot_enum(n, s, pos, w())))
+                        run.check("rcp.top_integral_vs_enum", params,
+                                  lambda: (ztop(n, s, pos, w()),
+                                           lattice.z_top_enum(n, s, pos, w())))
+                        run.check("rcp.cut_product_vs_probability", params,
+                                  lambda: cut_product(n, s, pos, w()))
+                run.check("rcp.completeness", {"draw": draw, "n": n, "s": s},
+                          lambda: completeness(n, s, w()))
+        for pos in ((0, 2), (-1, 1, 2)):
+            run.check("rcp.nonpositive_position_vanishing",
+                      {"draw": draw, "n": n_top, "pos": pos},
+                      lambda: (correlations.zbot_contour(n_top, len(pos), pos, w()),
+                               0 * ONE))
 
 
 def _suite_antisym(run: _Runner, rng: DeterministicRng):
@@ -434,14 +433,13 @@ def _suite_antisym(run: _Runner, rng: DeterministicRng):
         for s in range(1, min(cfg.s_max, 3) + 1):
             w = weight_triple(rng)
             zs = _homogeneous_cauchy_points(rng, s, w)
-            with run.guard("antisym.cauchy_homogeneous_vs_confluent", draw=draw, s=s):
-                run.compare("antisym.cauchy_homogeneous_vs_confluent",
-                            {"draw": draw, "s": s},
-                            identities.cauchy_ratio_homogeneous(zs, w),
-                            identities.cauchy_ratio_confluent(
-                                tuple(w.t * z for z in zs), rational(1) / w.t,
-                                -2 * w.delta),
-                            exact=True)
+            run.check("antisym.cauchy_homogeneous_vs_confluent",
+                      {"draw": draw, "s": s},
+                      lambda: (identities.cauchy_ratio_homogeneous(zs, w),
+                               identities.cauchy_ratio_confluent(
+                                   tuple(w.t * z for z in zs), rational(1) / w.t,
+                                   -2 * w.delta)),
+                      exact=True)
 
 
 def _double_antisym_admissible(xs, ys, tau) -> bool:
@@ -521,7 +519,7 @@ def run(config: SuiteConfig):
         with open(config.output_path, "w") as fh:
             json.dump(payload, fh, sort_keys=True, indent=2)
             fh.write("\n")
-    exit_code = 0 if all(r.status != "fail" for r in runner.reports) else 1
+    exit_code = 0 if all(r.passed for r in runner.reports) else 1
     return exit_code, runner.reports
 
 
@@ -537,19 +535,17 @@ def summarize(reports) -> str:
     by_suite: dict[str, list] = {}
     for rep in reports:
         by_suite.setdefault(rep.check_id.split(".")[0], []).append(rep)
-    lines = [f"{'suite':<14} {'pass':>6} {'fail':>6} {'skipped':>8} {'ms':>8}"]
+    lines = [f"{'suite':<14}" + "".join(f" {s:>7}" for s in STATUSES) + f" {'ms':>8}"]
     for suite in SUITES:
         if suite not in by_suite:
             continue
         group = by_suite[suite]
-        npass = sum(r.status == "pass" for r in group)
-        nfail = sum(r.status == "fail" for r in group)
-        nskip = sum(r.status == "skipped" for r in group)
+        counts = "".join(f" {sum(r.status == s for r in group):>7}" for s in STATUSES)
         ms = sum(r.elapsed_ms for r in group)
-        lines.append(f"{suite:<14} {npass:>6} {nfail:>6} {nskip:>8} {ms:>8}")
+        lines.append(f"{suite:<14}{counts} {ms:>8}")
     for rep in reports:
-        if rep.status == "fail":
-            lines.append(f"FAIL {rep.check_id} {rep.params}: "
+        if not rep.passed:
+            lines.append(f"{rep.status.upper()} {rep.check_id} {rep.params}: "
                          f"lhs={rep.lhs} rhs={rep.rhs} disc={rep.discrepancy}")
     return "\n".join(lines)
 

@@ -59,7 +59,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Mapping, Sequence
 
-from .algebra.field import ONE, is_exact, qdiv
+from .algebra.field import ONE, is_exact, qdiv, rational
 from .algebra.poly import Poly, common_denominator, det, vandermonde_value
 from .algebra.series import SeriesRing, TruncatedSeries
 from .errors import (CoincidingParameters, PoleCollision, PoleHit,
@@ -656,6 +656,8 @@ def zbot_contour(n: int, s: int, positions: Sequence[int],
     if positions[0] <= 0:
         return 0 * ONE
     t = weights.t
+    if type(t) is int:   # a divides b; t ** -k must not become a float
+        t = rational(t)
     targets = tuple(p - 1 for p in positions)
     kernel = _kernel(_zbot_kernel, weights, tuple(e + extra_order for e in targets))
     value = _read_residue(kernel, sym_generating_poly(n, s, weights), targets)

@@ -1,15 +1,21 @@
 """Check reports: one record per verified identity instance.
 
 ``from_comparison`` is the one path from the two sides of an identity to a
-report; in the package, the suite runner in ``cli`` is its only caller.  A report stores
-both sides as rendered strings plus a discrepancy.  Exact comparisons pass
-only on identical values, and the discrepancy is the string "0" or the
-difference lhs - rhs.  Float comparisons pass within the runner's
-tolerance, and the discrepancy is the largest relative error.
+report; in the package, ``_Runner.check`` in ``cli`` is its only caller.
+A report stores both sides as rendered strings plus a discrepancy.  Exact
+comparisons pass only on identical values, and the discrepancy is the
+string "0" or the difference lhs - rhs.  Float comparisons pass within the
+runner's tolerance, and the discrepancy is the largest relative error.
 
 A side may be a scalar, a polynomial or a tuple of them.  Tuples compare
 element by element, and in float mode the largest element error counts.
 Float polynomials compare by their largest relative coefficient error.
+
+``from_error`` reports a check whose sides raised.  Its status is
+``guarded`` for an ``IcelabError`` (a pole, degenerate weights or another
+condition that icelab guards against) and ``error`` for any other
+exception, an internal bug.  A comparison that comes out false is
+``fail``.
 """
 
 from __future__ import annotations
@@ -19,6 +25,9 @@ from typing import Mapping
 
 from .algebra.field import format_scalar, rel_err
 from .algebra.poly import Poly, poly_max_rel_err
+from .errors import IcelabError
+
+STATUSES = ("pass", "fail", "guarded", "error")   # the summary's column order
 
 
 def _difference(lhs, rhs):
@@ -51,7 +60,7 @@ def _render(value) -> str:
 class CheckReport:
     check_id: str
     params: dict
-    status: str            # pass | fail | skipped
+    status: str            # one of STATUSES
     lhs: str
     rhs: str
     discrepancy: str       # "0" when exactly equal, else max relative error
@@ -88,10 +97,12 @@ class CheckReport:
 
     @staticmethod
     def from_error(check_id: str, params: Mapping, exc: Exception) -> "CheckReport":
+        """A check that raised: ``guarded`` for a condition that icelab
+        guards against (an ``IcelabError``), ``error`` for any other."""
         return CheckReport(
             check_id=check_id,
             params={k: _render(v) for k, v in params.items()},
-            status="fail",
+            status="guarded" if isinstance(exc, IcelabError) else "error",
             lhs="error",
             rhs="error",
             discrepancy=f"{type(exc).__name__}: {exc}",

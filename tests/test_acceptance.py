@@ -267,6 +267,6 @@ def test_criterion_9_cli_determinism_and_exit_codes(tmp_path):
                           seed=271828, weight_triples=((3, 4, 0),))
     code, reports = cli_run(failing)
     assert code == 1
-    assert any(r.status == "fail" and "DegenerateWeights" in r.discrepancy
+    assert any(r.status == "guarded" and "DegenerateWeights" in r.discrepancy
                for r in reports)
     _finish(9, "CLI determinism and exit codes", started, 30)

@@ -7,13 +7,12 @@ import time
 import mpmath
 import pytest
 
-from icelab import correlations, identities
+from icelab import correlations, identities, lattice
 from icelab.algebra import ONE, Poly, format_scalar, rational, rel_err
 from icelab.algebra.poly import poly_max_rel_err
-from icelab.cli import (SuiteConfig, SUITES, _Runner, main, parse_config, run,
-                        summarize)
-from icelab.errors import ConfigError, UsageError
-from icelab.report import CheckReport
+from icelab.cli import SuiteConfig, SUITES, main, parse_config, run, summarize
+from icelab.errors import ConfigError, PoleHit, UsageError
+from icelab.report import STATUSES, CheckReport
 
 
 def test_parse_defaults_and_suite_selection():
@@ -134,9 +133,9 @@ def test_corrupted_weights_fail_with_provenance():
                       weight_triples=((3, 4, 0),))
     code, reports = run(cfg)
     assert code == 1
-    fails = [r for r in reports if r.status == "fail"]
-    assert fails
-    assert "DegenerateWeights" in fails[0].discrepancy
+    guarded = [r for r in reports if r.status == "guarded"]
+    assert guarded
+    assert "DegenerateWeights" in guarded[0].discrepancy
 
 
 def test_float_backend_small_run():
@@ -196,35 +195,138 @@ def test_validate_bounds_directly():
         SuiteConfig(precision_bits=8).validate()
 
 
-def test_guard_times_only_the_reports_its_body_appended():
-    runner = _Runner(SuiteConfig(suites=("partition",)))
+def test_each_report_carries_its_own_time(monkeypatch):
+    asym = correlations.efp_contour_asym
 
-    def body(check_id):
+    def slow(*args, **kw):
         time.sleep(0.02)
-        runner.compare(check_id, {}, ONE, ONE)
+        return asym(*args, **kw)
 
-    with runner.guard("partition.first"):
-        body("partition.first")
-    runner.reports[-1].elapsed_ms = 7
-    with runner.guard("partition.quiet"):
-        time.sleep(0.02)
-    assert len(runner.reports) == 1
-    assert runner.reports[0].elapsed_ms == 7
-    with runner.guard("partition.second"):
-        body("partition.second")
-    assert runner.reports[0].elapsed_ms == 7
-    assert runner.reports[1].elapsed_ms >= 20
+    monkeypatch.setattr(correlations, "efp_contour_asym", slow)
+    code, reports = run(SuiteConfig(suites=("efp",), n_max=2, s_max=2, draws=1))
+    assert code == 0
+    timed = [r for r in reports if r.check_id == "efp.asym_integral_vs_enum"]
+    assert len(timed) == 4
+    assert all(r.elapsed_ms >= 20 for r in timed), [r.elapsed_ms for r in timed]
 
 
-def test_guard_turns_an_error_into_one_fail_report():
-    runner = _Runner(SuiteConfig(suites=("partition",)))
-    with runner.guard("partition.broken", draw=3):
-        runner.compare("partition.first", {}, ONE, ONE)
-        raise ValueError("boom")
-    assert [(r.check_id, r.status) for r in runner.reports] == [
-        ("partition.first", "pass"), ("partition.broken", "fail")]
-    assert runner.reports[1].params == {"draw": "3"}
-    assert runner.reports[1].discrepancy == "ValueError: boom"
+def _keyed(reports):
+    return [(r.check_id, r.params) for r in reports]
+
+
+def _raising(monkeypatch, module, name, exc):
+    def broken(*args, **kw):
+        raise exc
+
+    monkeypatch.setattr(module, name, broken)
+
+
+def test_an_enumeration_error_is_reported_by_each_check_that_needs_it(monkeypatch):
+    cfg = SuiteConfig(suites=("efp",), n_max=2, s_max=2, draws=1)
+    _, passing = run(cfg)
+    _raising(monkeypatch, lattice, "efp_enum", ValueError("boom"))
+    code, reports = run(cfg)
+    assert code == 1
+    assert _keyed(reports) == _keyed(passing)
+    assert "efp.quadrangle" not in {r.check_id for r in reports}
+    for rep in reports:
+        needs_enum = rep.check_id.endswith("_vs_enum")
+        assert rep.status == ("error" if needs_enum else "pass"), rep
+        if needs_enum:
+            assert rep.discrepancy == "ValueError: boom"
+    assert {r.check_id for r in reports if r.status == "error"} == {
+        "efp.asym_integral_vs_enum", "efp.sym_integral_vs_enum",
+        "efp.cauchy_integral_vs_enum", "efp.double_integral_vs_enum"}
+    assert any(r.check_id == "efp.truncation_stability" for r in reports)
+
+
+def test_a_top_contour_error_spares_the_other_rcp_checks(monkeypatch):
+    cfg = SuiteConfig(suites=("rcp",), n_max=3, s_max=3, draws=1)
+    _, passing = run(cfg)
+    _raising(monkeypatch, correlations, "ztop_contour", ValueError("boom"))
+    code, reports = run(cfg)
+    assert code == 1
+    assert _keyed(reports) == _keyed(passing)
+    broken = {"rcp.top_integral_vs_enum", "rcp.cut_product_vs_probability"}
+    for rep in reports:
+        assert rep.status == ("error" if rep.check_id in broken else "pass"), rep
+    assert {r.check_id for r in reports if r.passed} == {
+        "rcp.bottom_integral_vs_enum", "rcp.completeness",
+        "rcp.nonpositive_position_vanishing"}
+
+
+@pytest.mark.parametrize("module, name", [
+    (lattice, "HomogeneousWeights"), (lattice, "partition_function"),
+    (lattice, "efp_enum"), (lattice, "rcp_enum"), (lattice, "z_top_enum"),
+    (correlations, "ztop_contour"), (correlations, "zbot_contour"),
+    (lattice, "boundary_correlation"), (correlations, "sym_generating_poly"),
+])
+def test_every_error_report_has_the_id_and_params_of_a_passing_one(
+        monkeypatch, module, name):
+    cfg = SuiteConfig(suites=SUITES, n_max=3, s_max=3, draws=1, seed=1)
+    _, passing = run(cfg)
+    _raising(monkeypatch, module, name, PoleHit("guarded"))
+    code, reports = run(cfg)
+    assert code == 1
+    assert _keyed(reports) == _keyed(passing)
+    failed = [r for r in reports if not r.passed]
+    assert failed and all(r.status == "guarded" for r in failed)
+
+
+def test_degenerate_weights_are_guarded_under_each_checks_own_id():
+    def reports_for(spec):
+        _, reports = run(SuiteConfig(suites=SUITES, n_max=2, s_max=2, draws=1,
+                                     weight_triples=(spec,)))
+        return reports
+
+    guarded = [r for r in reports_for((3, 4, 0)) if not r.passed]
+    assert guarded and all(r.status == "guarded" for r in guarded)
+    passing = {r.check_id for r in reports_for((3, 4, 5)) if r.passed}
+    assert {r.check_id for r in guarded} <= passing
+
+
+def test_error_statuses_tell_a_guard_from_a_bug():
+    guarded = CheckReport.from_error("x.pole", {"n": 1}, PoleHit("pole"))
+    bug = CheckReport.from_error("x.bug", {"n": 1}, TypeError("bad"))
+    false = CheckReport.from_comparison("x.false", {}, ONE, 2 * ONE, exact=True)
+    assert (guarded.status, bug.status, false.status) == ("guarded", "error", "fail")
+    assert guarded.discrepancy == "PoleHit: pole"
+    assert not any(r.passed for r in (guarded, bug, false))
+    assert STATUSES == ("pass", "fail", "guarded", "error")
+
+
+def test_summary_counts_each_status_and_lists_every_report_that_did_not_pass():
+    true = CheckReport.from_comparison("efp.true", {}, ONE, ONE, exact=True)
+    false = CheckReport.from_comparison("efp.false", {}, ONE, 2 * ONE, exact=True)
+    guarded = CheckReport.from_error("efp.pole", {"n": 1}, PoleHit("pole"))
+    bug = CheckReport.from_error("rcp.bug", {"n": 2}, TypeError("bad"))
+    lines = summarize([true, false, guarded, bug]).splitlines()
+    assert lines[0].split() == ["suite", "pass", "fail", "guarded", "error", "ms"]
+    assert lines[1].split() == ["efp", "1", "1", "1", "0", "0"]
+    assert lines[2].split() == ["rcp", "0", "0", "0", "1", "0"]
+    assert [line.split()[:2] for line in lines[3:]] == [
+        ["FAIL", "efp.false"], ["GUARDED", "efp.pole"], ["ERROR", "rcp.bug"]]
+    assert "skipped" not in summarize([true])
+
+
+def _float_renders(reports):
+    return [r for r in reports if "." in r.lhs or "." in r.rhs]
+
+
+def test_rcp_values_stay_exact_when_a_sampled_a_divides_b():
+    # seed 47 draws a triple with an integer t = b/a for the rcp suite
+    code, reports = run(parse_config(["--suite", "rcp", "--seed", "47"], env={}))
+    assert code == 0, summarize(reports)
+    assert not _float_renders(reports)
+
+
+def test_integer_weight_ratio_renders_no_float():
+    suites = ("boundary", "generating", "efp", "rcp")
+    args = [a for suite in suites for a in ("--suite", suite)]
+    code, reports = run(parse_config(
+        args + ["--n-max", "4", "--draws", "1", "--weights", "1,2,3"], env={}))
+    assert code == 0, summarize(reports)
+    assert not _float_renders(reports)
 
 
 def test_an_ordered_sum_error_is_reported_under_the_checks_own_id(monkeypatch):
@@ -234,11 +336,11 @@ def test_an_ordered_sum_error_is_reported_under_the_checks_own_id(monkeypatch):
     monkeypatch.setattr(correlations, "check_ordered_geometric_sum", broken)
     code, reports = run(SuiteConfig(suites=("efp",), n_max=1, s_max=1, draws=1))
     assert code == 1
-    fails = [r for r in reports if r.status == "fail"]
-    assert {r.check_id for r in fails} == {"efp.ordered_geometric_sum"}
-    assert [(r.params["r"], r.params["cutoff"]) for r in fails] == [
+    errors = [r for r in reports if r.status == "error"]
+    assert {r.check_id for r in errors} == {"efp.ordered_geometric_sum"}
+    assert [(r.params["r"], r.params["cutoff"]) for r in errors] == [
         ("2", "8"), ("2", "10"), ("3", "8"), ("3", "10")]
-    assert all(r.discrepancy == "ValueError: boom" for r in fails)
+    assert all(r.discrepancy == "ValueError: boom" for r in errors)
 
 
 # Each formerly hand-built check must fail through the runner when exactly one

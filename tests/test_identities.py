@@ -6,7 +6,7 @@ import mpmath
 import pytest
 
 from icelab.algebra import Poly, SeriesRing, poly_exact_div, rational as Q
-from icelab.algebra.field import rel_err
+from icelab.algebra.field import is_exact, rel_err
 from icelab.errors import CoincidingParameters, NonzeroRemainder, PoleHit
 from icelab.identities import (cauchy_kernel, cauchy_ratio,
                                cauchy_ratio_confluent,
@@ -83,6 +83,15 @@ def test_rational_antisymmetrization_random():
             zs = distinct_rationals(
                 rng, s, accept_each=lambda v: v != 1 and a * v + 1 != 0)
             assert _exact(check_rational_antisymmetrization(zs, w))
+
+
+def test_rational_antisymmetrization_stays_exact_when_a_divides_b():
+    # t = b/a = 2 is an integer here; an int t once made u an int and
+    # u ** -(s-1) a float (-7.000000000000001 against -7)
+    lhs, rhs = check_rational_antisymmetrization(
+        (0, Q(1, 2)), HomogeneousWeights(1, 2, 3))
+    assert is_exact(lhs) and is_exact(rhs)
+    assert lhs == rhs == -7
 
 
 def test_rational_antisymmetrization_rejects_pole():
