@@ -373,15 +373,6 @@ class Poly:
             result = Poly(result.vars, terms)
         return result
 
-    def scale_var(self, var: str, factor) -> "Poly":
-        """Substitute var -> factor * var."""
-        if var not in self.vars:
-            return self
-        i = self.vars.index(var)
-        return Poly(self.vars,
-                    {e: c * factor ** e[i] if e[i] else c
-                     for e, c in self.terms.items()})
-
     def coefficient(self, var: str, k: int) -> "Poly":
         """The coefficient of var**k, as a polynomial in the other vars."""
         i = self.vars.index(var)
@@ -394,12 +385,6 @@ class Poly:
 
     def homogeneous_component(self, total: int) -> "Poly":
         return Poly(self.vars, {e: c for e, c in self.terms.items() if sum(e) == total})
-
-    def rename_vars(self, mapping: Mapping[str, str]) -> "Poly":
-        renamed = tuple(mapping.get(v, v) for v in self.vars)
-        if len(set(renamed)) != len(renamed):
-            raise ValueError("renaming collides variable names")
-        return Poly(renamed, self.terms)
 
     def is_symmetric(self, tolerance: float = 0.0) -> bool:
         """Invariance under all adjacent transpositions of the variables.

@@ -5,31 +5,33 @@ All contour integrals of the model are of the form
     oint ... oint  F(z_1..z_s)  d^s z / (2 pi i)^s
 
 with every contour a small circle around one declared point enclosing no
-other singularity.  Operationally that is iterated coefficient
-extraction: each factor of the integrand is expanded as a truncated
-series in the variables shifted to the contour centers, the product is
-formed with per-variable truncation at the target exponent, and the
-target coefficients are read off.  Factors that are inverted must be
-nonzero at the center; this is checked, not assumed, and a violation
-surfaces as an error rather than a wrong number.
+other singularity.  Operationally that is coefficient extraction, done by
+one engine, ``_factor_product``: each factor of the integrand is expanded
+as a truncated series in the variables shifted to the contour centers,
+the product is formed with per-variable truncation at the target
+exponents, and the target coefficient is read off.  Factors that are
+inverted must be nonzero at the center; this is checked, not assumed, and
+a violation surfaces as an error rather than a wrong number.
 
-In the EFP forms (asymmetric, symmetrized, Cauchy) and the bottom RCP
-integral, the generating polynomial h = h(N, s) is the only factor that
-depends on N.  The product K of all the others, the u-transformed h(s, s)
-included, depends only on the form, s, the weights and the truncation
-orders.  The residue is the coefficient of z^T in K h, that is the sum
-over the terms m of h of h[m] K[T - m]: a dot product, with no series
-product with h.  Exact values run on integer numerators with one
-division at the end, and the Cauchy form's 1/t rescaling of h(N, s) enters
-the sum as t^(-|m|).  Inside ``kernel_scope()``, which ``cli.run`` opens
-for its suites, each kernel K is built once, keyed by its builder, the
-weights and the exact truncation orders, and read by every (N, r) or
-position set that needs it.  The scope holds the kernels of one weight
-triple at a time, since the suites finish a triple before drawing the
-next, and it drops them on exit; outside a scope each call builds its
-kernel and drops it.  The top RCP integral and the double EFP integral
-have factors that depend on the positions or on r, so they stay with
-``iterated_residue``.
+In the five kernel forms, the asymmetric, symmetrized, Cauchy and double
+EFP integrals and the bottom RCP integral, the generating polynomial h =
+h(N, s) is the only factor that depends on N.  The product K of all the
+others, the u-transformed h(s, s) included, depends only on the form, s,
+the weights, the truncation orders and, in the double form, r.  The
+residue is the coefficient of z^T in K h, that is the sum over the terms
+m of h of h[m] K[T - m]: a dot product, with no series product with h.
+Exact values run on integer numerators with one division at the end, and
+the 1/t rescaling of h(N, s) in the Cauchy and double forms enters the
+sum as t^(-|m|).  Inside ``kernel_scope()``, which ``cli.run`` opens for
+its suites, each kernel K is built once, keyed by its builder, the
+weights, the exact truncation orders and r where K depends on it, and
+read by every (N, r) or position set that needs it.  The scope holds the
+kernels of one weight triple at a time, since the suites finish a triple
+before drawing the next, and it drops them on exit; outside a scope each
+call builds its kernel and drops it.  The top RCP integral and the
+residue-collapse check hand their whole integrand to
+``iterated_residue``, which forms the same product and reads its target
+coefficient.
 
 The generating polynomial family entering all the formulas is
 
@@ -59,7 +61,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Mapping, Sequence
 
-from .algebra.field import ONE, is_exact, qdiv, rational
+from .algebra.field import ONE, qdiv
 from .algebra.poly import Poly, common_denominator, det, vandermonde_value
 from .algebra.series import SeriesRing, TruncatedSeries
 from .errors import (CoincidingParameters, PoleCollision, PoleHit,
@@ -282,43 +284,19 @@ def _expand_factors(factors: Sequence, centers: Mapping[str, object],
 
 
 def iterated_residue(factors: Sequence, specs: Sequence[ResidueSpec], *,
-                     var_order: Sequence[str] | None = None,
                      extra_order: int = 0):
     """Evaluate an iterated contour integral as coefficient extraction.
 
     ``factors`` are (Poly, power) pairs (a bare Poly means power 1) in the
-    unshifted variables; the engine recenters each polynomial, expands
-    negative powers (raising ZeroConstantTerm when a declared-analytic
-    factor vanishes at its center), and extracts the product of target
-    coefficients one variable at a time, merging each factor at the first
-    step that slices one of its variables.  The result does not depend on
-    ``var_order``; callers may pass one to exercise that.
+    unshifted variables.  Their product is expanded around the specs'
+    centers (raising ZeroConstantTerm when a declared-analytic factor
+    vanishes at its center) in the ring truncated at the target exponents
+    plus ``extra_order``, and the coefficient of the targets is read off.
     """
     ring = SeriesRing(tuple(sp.var for sp in specs),
                       tuple(sp.target_exponent + extra_order for sp in specs))
-    by_var = {sp.var: sp for sp in specs}
-    order = tuple(var_order) if var_order is not None else ring.vars
-    if sorted(order) != sorted(by_var):
-        raise ValueError("var_order must permute the residue variables")
-    step_of = {v: i for i, v in enumerate(order)}
-    scalar, expanded = _expand_factors(
-        factors, {v: sp.center for v, sp in by_var.items()}, ring)
-    pending = [(min(map(step_of.get, support)), series) for support, series in expanded]
-
-    acc = ring.one()
-    current = ring
-    for i, var in enumerate(order):
-        merge_now = sorted((s for s in pending if s[0] == i),
-                           key=lambda item: len(item[1].nums))
-        target = by_var[var].target_exponent
-        if merge_now:
-            for _, series in merge_now[:-1]:
-                acc = acc * current.embed(series)
-            acc = acc.mul_slice(current.embed(merge_now[-1][1]), var, target)
-        else:
-            acc = acc.coefficient(var, target)
-        current = current.drop(var)
-    return scalar * acc.constant_term()
+    product = _factor_product(ring, factors, centers={sp.var: sp.center for sp in specs})
+    return product.coefficient_value({sp.var: sp.target_exponent for sp in specs})
 
 
 # -- integrand kernels ---------------------------------------------------
@@ -342,18 +320,18 @@ def kernel_scope():
         _KERNELS.reset(token)
 
 
-def _kernel(build, weights: HomogeneousWeights, orders: tuple) -> TruncatedSeries:
-    """``build(ring, weights)`` in the ring of z1..zs truncated at
-    ``orders``, memoized in the open kernel scope by the builder, the
-    weights (whose equality tells exact from float) and the orders.  The
-    memo keeps one weight triple: holding the kernels of a finished
-    triple would only raise the peak memory of a run."""
+def _kernel(build, weights: HomogeneousWeights, orders: tuple, *args) -> TruncatedSeries:
+    """``build(ring, weights, *args)`` in the ring of z1, z2, ... truncated
+    at ``orders``, memoized in the open kernel scope by the builder, the
+    weights (whose equality tells exact from float), the orders and
+    ``args``.  The memo keeps one weight triple: holding the kernels of a
+    finished triple would only raise the peak memory of a run."""
     memo = _KERNELS.get()
-    key = (build, weights, orders)
+    key = (build, weights, orders, args)
     kernel = None if memo is None else memo.get(key)
     if kernel is None:
         ring = SeriesRing(tuple(_zvar(j) for j in range(1, len(orders) + 1)), orders)
-        kernel = build(ring, weights)
+        kernel = build(ring, weights, *args)
         if memo is not None:
             if memo and next(iter(memo))[1] != weights:
                 memo.clear()
@@ -362,15 +340,19 @@ def _kernel(build, weights: HomogeneousWeights, orders: tuple) -> TruncatedSerie
 
 
 def _factor_product(ring: SeriesRing, factors: Sequence,
-                    first: TruncatedSeries | None = None) -> TruncatedSeries:
+                    first: TruncatedSeries | None = None,
+                    centers: Mapping[str, object] | None = None) -> TruncatedSeries:
     """The product of ``first`` (a series of the ring, if given) and the
-    factors, expanded around 0 as ``iterated_residue`` expands them.
+    factors, each expanded around its variables' ``centers`` (default 0),
+    as a series in the variables shifted to those centers.
 
     Factors on the same variables are multiplied together first, and each
     such block into one whose variables contain its own (a one-variable
     factor into a pair factor), in the small rings of those variables;
     only the remaining blocks are multiplied in the ring of all of them."""
-    scalar, expanded = _expand_factors(factors, dict.fromkeys(ring.vars, 0), ring)
+    if centers is None:
+        centers = dict.fromkeys(ring.vars, 0)
+    scalar, expanded = _expand_factors(factors, centers, ring)
     blocks: dict = {}
     for support, series in expanded:
         key = frozenset(support)
@@ -582,6 +564,37 @@ def efp_contour_cauchy(n: int, r: int, s: int, weights: HomogeneousWeights,
     return qdiv(sign, math.factorial(s)) * t ** (s * (r - 1) + s * s) * pref * value
 
 
+def _double_kernel(ring: SeriesRing, weights: HomogeneousWeights, r: int) -> TruncatedSeries:
+    """The double form's integrand without h(N, s), in the ring's variables
+    as x_1..x_s, y_1..y_s (x_j = z_j around 0, y_j = z_(s+j) around 1/t):
+    prod_j y_j^-(r+j-1) / (1 - x_1 y_1 ... x_j y_j) times prod_{j<k}
+    (y_k - y_j) (y_j y_k - 2 delta y_k + 1) (x_k - x_j) / (x_j x_k - 2 delta
+    x_j + 1).  A factor declared analytic that vanishes on a contour
+    center raises PoleCollision."""
+    t, delta = weights.t, weights.delta
+    zs = [Poly.variable(v) for v in ring.vars]
+    s = len(zs) // 2
+    xs, ys = zs[:s], zs[s:]
+    factors: list = []
+    prod = Poly.const(ONE)
+    for j, (xj, yj) in enumerate(zip(xs, ys), 1):
+        factors.append((yj, -(r + j - 1)))
+        prod = prod * xj * yj
+        factors.append((1 - prod, -1))
+    for j, k in itertools.combinations(range(s), 2):
+        factors.append(ys[k] - ys[j])
+        factors.append(ys[j] * ys[k] - ys[k] * (2 * delta) + 1)
+        factors.append(xs[k] - xs[j])
+        factors.append(_pair_inverse(xs[j], xs[k], 1, delta))
+    centers = dict.fromkeys(ring.vars[:s], 0) | dict.fromkeys(ring.vars[s:], qdiv(1, t))
+    try:
+        return _factor_product(ring, factors, centers=centers)
+    except ZeroConstantTerm as exc:
+        raise PoleCollision(
+            "a factor declared analytic vanishes on a contour center; "
+            f"weights {weights}: {exc}") from exc
+
+
 def efp_contour_double(n: int, r: int, s: int, weights: HomogeneousWeights,
                        extra_order: int = 0):
     """EFP as the 2s-fold integral over both variable sets, after the
@@ -591,40 +604,15 @@ def efp_contour_double(n: int, r: int, s: int, weights: HomogeneousWeights,
         return ONE
     if not 1 <= r <= n:
         raise PositionsOutOfRange(f"r={r} outside 1..{n}")
-    if any(r - s + j - 1 < 0 for j in range(1, s + 1)):
+    if r < s:   # the x_1 target r - s is negative, so the residue vanishes
         return 0 * ONE
-    t, delta = weights.t, weights.delta
-    inv_t = qdiv(1, t)
-    specs = [ResidueSpec(f"x{j}", 0, r - s + j - 1) for j in range(1, s + 1)]
-    specs += [ResidueSpec(f"y{j}", inv_t, s - 1) for j in range(1, s + 1)]
-    factors: list = []
-    for j in range(1, s + 1):
-        yj = Poly.variable(f"y{j}")
-        factors.append((yj, -(r + j - 1)))
-        prod = Poly.const(ONE)
-        for l in range(1, j + 1):
-            prod = prod * Poly.variable(f"x{l}") * Poly.variable(f"y{l}")
-        factors.append((1 - prod, -1))
-    for j in range(1, s + 1):
-        for k in range(j + 1, s + 1):
-            xj, xk = Poly.variable(f"x{j}"), Poly.variable(f"x{k}")
-            yj, yk = Poly.variable(f"y{j}"), Poly.variable(f"y{k}")
-            factors.append(yk - yj)
-            factors.append(yj * yk - yk * (2 * delta) + 1)
-            factors.append(xk - xj)
-            factors.append(_pair_inverse(xj, xk, 1, delta))
-    h_ns = sym_generating_poly(n, s, weights)
-    h_ns = h_ns.rename_vars({_zvar(j): f"x{j}" for j in range(1, s + 1)})
-    for j in range(1, s + 1):
-        h_ns = h_ns.scale_var(f"x{j}", inv_t)
-    factors.append(h_ns)
-    try:
-        value = iterated_residue(factors, specs, extra_order=extra_order)
-    except ZeroConstantTerm as exc:
-        raise PoleCollision(
-            "a factor declared analytic vanishes on a contour center; "
-            f"weights {weights}: {exc}") from exc
-    return value * t ** (-s * s) if not is_exact(t) else value * qdiv(1, t ** (s * s))
+    t = weights.t
+    targets = tuple(r - s + j - 1 for j in range(1, s + 1)) + (s - 1,) * s
+    kernel = _kernel(_double_kernel, weights,
+                     tuple(e + extra_order for e in targets), r)
+    value = _read_residue(kernel, sym_generating_poly(n, s, weights), targets,
+                          scale=qdiv(1, t))
+    return value * t ** (-s * s)
 
 
 # -- the two cut partition functions ------------------------------------
@@ -656,8 +644,6 @@ def zbot_contour(n: int, s: int, positions: Sequence[int],
     if positions[0] <= 0:
         return 0 * ONE
     t = weights.t
-    if type(t) is int:   # a divides b; t ** -k must not become a float
-        t = rational(t)
     targets = tuple(p - 1 for p in positions)
     kernel = _kernel(_zbot_kernel, weights, tuple(e + extra_order for e in targets))
     value = _read_residue(kernel, sym_generating_poly(n, s, weights), targets)

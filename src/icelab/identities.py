@@ -106,8 +106,6 @@ def check_rational_antisymmetrization(zs: Sequence, weights: HomogeneousWeights)
     s x s partition function and generating polynomial, exactly."""
     s = len(zs)
     t, delta = weights.t, weights.delta
-    if type(t) is int:   # a divides b; u ** -k must not become a float
-        t = rational(t)
     us = [u_map(z, t, delta) for z in zs]
     if any(u == 0 for u in us):
         raise PoleHit("u(z) = 0 (z = 1 is not admissible)")

@@ -92,7 +92,8 @@ class HomogeneousWeights:
 
     @property
     def t(self):
-        return qdiv(self.b, self.a)
+        """b / a, a rational for exact weights even when a divides b."""
+        return rational(self.b) / self.a if self.exact else self.b / self.a
 
     @property
     def delta(self):

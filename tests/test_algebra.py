@@ -90,7 +90,6 @@ def test_poly_shift_and_scale():
     x = Poly.variable("x")
     p = x**2
     assert p.shift({"x": Q(1)}) == x**2 + 2 * x + 1
-    assert p.scale_var("x", Q(3)) == 9 * x**2
 
 
 def test_poly_repr_renders_floats_to_the_last_unit():

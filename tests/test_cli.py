@@ -145,11 +145,17 @@ def test_float_backend_small_run():
     assert code == 0, summarize(reports)
 
 
+def _digest(reports) -> str:
+    """The sha256 of the report JSON, as the benchmark hashes it."""
+    payload = json.dumps([r.to_json_obj() for r in reports], sort_keys=True, indent=2)
+    return hashlib.sha256(payload.encode()).hexdigest()
+
+
 # sha256 of the report JSON of every suite at n_max=3, s_max=3, draws=1,
 # seed=1, pinned so that a refactoring cannot change a report unnoticed
 REPORT_DIGESTS = {
     "exact": "84857537a0022b53ce4b306638c420507ee671d93e6eae5d3e8929db70d89f62",
-    "float": "4488f1b21d6233dc37da641d197104f97f71cfd188bf14ff69526ac400067975",
+    "float": "21957d172a236e008b30350a02b59a7e8ddd5b4170e00d3f1a4ce49ac4106d59",
 }
 
 
@@ -161,9 +167,35 @@ def test_all_suites_every_report_passes():
         assert code == 0, backend
         assert all(r.status == "pass" for r in reports), summarize(reports)
         assert len(reports) == 181, backend
-        payload = json.dumps([r.to_json_obj() for r in reports],
-                             sort_keys=True, indent=2)
-        assert hashlib.sha256(payload.encode()).hexdigest() == digest, backend
+        assert _digest(reports) == digest, backend
+
+
+# the three exact workloads that the benchmark times, as icelab arguments,
+# and the sha256 of their report JSON at two seeds
+GATED_WORKLOADS = {
+    "contour-exact": ["--suite", "generating", "--suite", "efp", "--suite", "rcp",
+                      "--n-max", "5", "--s-max", "4", "--draws", "2"],
+    "antisym-exact": ["--suite", "antisym", "--suite", "tracy-widom",
+                      "--n-max", "5", "--s-max", "4", "--draws", "1"],
+    "fold-exact": ["--suite", "partition", "--suite", "boundary",
+                   "--n-max", "8", "--s-max", "4", "--draws", "4"],
+}
+GATED_DIGESTS = {
+    ("contour-exact", 111): "31588b0666e0826901412574c4282fcdb04e1f2a29a5db117bfe81aaf8f75d43",
+    ("contour-exact", 7): "a9911499a9b4baee4d539cfc01bb46ae9d8b69d04f8362389034e7ad061631a6",
+    ("antisym-exact", 111): "e9b6ddf16747f7a51192247b92154dd5c680b047c13013f922a019f59f61f9b2",
+    ("antisym-exact", 7): "640dd0f548dd31c798bb1d457c1ef8d372d17f99c545923c64f7f626c1685b1b",
+    ("fold-exact", 111): "e85b9dbc588817948d004575cca79c544364d4464382b6af14d766d8f68b3676",
+    ("fold-exact", 7): "050cfd4bb53cd5fb885effaf3ec705b819452843b8b975193f771a5edce9806e",
+}
+
+
+@pytest.mark.parametrize("workload, seed", GATED_DIGESTS)
+def test_timed_workload_reports_are_pinned(workload, seed):
+    args = GATED_WORKLOADS[workload] + ["--backend", "exact", "--seed", str(seed)]
+    code, reports = run(parse_config(args, env={}))
+    assert code == 0, summarize(reports)
+    assert _digest(reports) == GATED_DIGESTS[workload, seed]
 
 
 def test_one_by_one_lattice_with_s_max_one_passes():

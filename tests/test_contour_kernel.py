@@ -1,14 +1,17 @@
 """The integrand kernels of the contour forms against the factor lists
-they replaced, and the scope that memoizes the kernels.
+they replaced, the residue engine against the slice-and-merge loop it
+replaced, and the scope that memoizes the kernels.
 
-``efp_contour_asym``, ``efp_contour_sym``, ``efp_contour_cauchy`` and
-``zbot_contour`` once handed their whole integrand, h(N, s) included, to
-``iterated_residue``; the symmetrized and Cauchy forms also passed
-h(s, s)(u_1..u_s) as a prebuilt series.  Those factor lists are kept here
-as the oracle, run through ``iterated_residue``, with h(s, s)(u) written
-as a polynomial over a power of each u's denominator, so that the oracle
-needs no prebuilt series.  Exact values must be equal; float values may
-differ by rounding only.
+``efp_contour_asym``, ``efp_contour_sym``, ``efp_contour_cauchy``,
+``efp_contour_double`` and ``zbot_contour`` once handed their whole
+integrand, h(N, s) included, to ``iterated_residue``; the symmetrized and
+Cauchy forms also passed h(s, s)(u_1..u_s) as a prebuilt series.  Those
+factor lists, and the one ``ztop_contour`` still hands over, are kept
+here as the oracle, run through ``oracle_residue``, the slice-and-merge
+``iterated_residue`` as it was, with h(s, s)(u) written as a polynomial
+over a power of each u's denominator, so that the oracle needs no
+prebuilt series.  Exact values must be equal; float values may differ by
+rounding only.
 """
 
 import itertools
@@ -22,12 +25,16 @@ from hypothesis import given, strategies as st
 from icelab import cli, correlations
 from icelab.algebra.field import qdiv, rel_err
 from icelab.algebra.poly import Poly
+from icelab.algebra.series import SeriesRing
 from icelab.correlations import (ResidueSpec, efp_contour_asym, efp_contour_cauchy,
-                                 efp_contour_sym, iterated_residue, kernel_scope,
-                                 sym_generating_poly, zbot_contour)
+                                 efp_contour_double, efp_contour_sym, iterated_residue,
+                                 kernel_scope, sym_generating_poly, zbot_contour,
+                                 ztop_contour)
+from icelab.errors import ZeroConstantTerm
 from icelab.lattice import (HomogeneousWeights, flux_sector_states,
                             partition_function, positions_of)
 from test_generating_oracle import FEW, TRIPLES
+from test_multiply_kernel import SETTINGS
 
 FF = HomogeneousWeights(Fraction(3), Fraction(4), Fraction(5))
 GEN = HomogeneousWeights(Fraction(2), Fraction(3), Fraction(4))
@@ -35,11 +42,55 @@ HALF = HomogeneousWeights(Fraction(1, 2), Fraction(5, 3), Fraction(3, 2))
 FLOATS = HomogeneousWeights(mpmath.mpf("0.7"), mpmath.mpf("1.3"), mpmath.mpf("1.1"))
 
 
-# -- the oracle: the factor lists as they were ---------------------------------
+# -- the oracle: the residue engine and the factor lists as they were ----------
+
+
+def oracle_residue(factors, specs, *, var_order=None, extra_order=0):
+    """The slice-and-merge ``iterated_residue``: the product of target
+    coefficients is extracted one variable at a time, merging each factor
+    at the first step that slices one of its variables.  The result does
+    not depend on ``var_order``."""
+    ring = SeriesRing(tuple(sp.var for sp in specs),
+                      tuple(sp.target_exponent + extra_order for sp in specs))
+    by_var = {sp.var: sp for sp in specs}
+    order = tuple(var_order) if var_order is not None else ring.vars
+    if sorted(order) != sorted(by_var):
+        raise ValueError("var_order must permute the residue variables")
+    step_of = {v: i for i, v in enumerate(order)}
+    scalar, expanded = correlations._expand_factors(
+        factors, {v: sp.center for v, sp in by_var.items()}, ring)
+    pending = [(min(map(step_of.get, support)), series) for support, series in expanded]
+
+    acc = ring.one()
+    current = ring
+    for i, var in enumerate(order):
+        merge_now = sorted((s for s in pending if s[0] == i),
+                           key=lambda item: len(item[1].nums))
+        target = by_var[var].target_exponent
+        if merge_now:
+            for _, series in merge_now[:-1]:
+                acc = acc * current.embed(series)
+            acc = acc.mul_slice(current.embed(merge_now[-1][1]), var, target)
+        else:
+            acc = acc.coefficient(var, target)
+        current = current.drop(var)
+    return scalar * acc.constant_term()
 
 
 def _var(name: str, j: int) -> Poly:
     return Poly.variable(f"{name}{j}")
+
+
+def scaled(h: Poly, factor) -> Poly:
+    """h with every variable v replaced by factor * v, one variable at a
+    time."""
+    terms = {}
+    for e, c in h.terms.items():
+        for m in e:
+            if m:
+                c = c * factor ** m
+        terms[e] = c
+    return Poly(h.vars, terms)
 
 
 def composed(h: Poly, names: list, num, den) -> list:
@@ -73,7 +124,7 @@ def oracle_asym(n, r, s, w, extra_order=0):
         factors.append((zj * zk * (t * t) - zj * (2 * delta * t) + 1, -1))
     factors.append(sym_generating_poly(n, s, w))
     specs = [ResidueSpec(f"z{j}", 0, r - 1) for j in range(1, s + 1)]
-    value = iterated_residue(factors, specs, extra_order=extra_order)
+    value = oracle_residue(factors, specs, extra_order=extra_order)
     return value if s % 2 == 0 else -value
 
 
@@ -95,7 +146,7 @@ def oracle_sym(n, r, s, w, extra_order=0):
     factors += composed(sym_generating_poly(s, s, w), [f"z{j}" for j in range(1, s + 1)],
                         lambda z: 1 - z, lambda z: z * a + 1)
     specs = [ResidueSpec(f"z{j}", 0, r - 1) for j in range(1, s + 1)]
-    value = iterated_residue(factors, specs, extra_order=extra_order)
+    value = oracle_residue(factors, specs, extra_order=extra_order)
     sign = -1 if (s + s * (s - 1) // 2) % 2 else 1
     pref = qdiv(partition_function(s, w), w.a ** (s * (s - 1)) * w.c ** s)
     return qdiv(sign, math.factorial(s)) * pref * value
@@ -115,16 +166,13 @@ def oracle_cauchy(n, r, s, w, extra_order=0):
         factors.append((xk - xj, 2))
         factors.append((xj * xk - xj * (2 * delta) + 1, -1))
         factors.append((xj * xk - xk * (2 * delta) + 1, -1))
-    h_ns = sym_generating_poly(n, s, w)
-    h_ns = h_ns.rename_vars({f"z{j}": f"x{j}" for j in range(1, s + 1)})
-    for j in range(1, s + 1):
-        h_ns = h_ns.scale_var(f"x{j}", qdiv(1, t))
-    factors.append(h_ns)
+    h_ns = Poly(tuple(f"x{j}" for j in range(1, s + 1)), sym_generating_poly(n, s, w).terms)
+    factors.append(scaled(h_ns, qdiv(1, t)))
     # u(x / t) = (t - x) / (a x + t)
     factors += composed(sym_generating_poly(s, s, w), [f"x{j}" for j in range(1, s + 1)],
                         lambda x: t - x, lambda x: x * a + t)
     specs = [ResidueSpec(f"x{j}", 0, r - 1) for j in range(1, s + 1)]
-    value = iterated_residue(factors, specs, extra_order=extra_order)
+    value = oracle_residue(factors, specs, extra_order=extra_order)
     sign = -1 if (s + s * (s - 1) // 2) % 2 else 1
     pref = qdiv(partition_function(s, w), w.c ** s * w.b ** (s * (s - 1)))
     return qdiv(sign, math.factorial(s)) * t ** (s * (r - 1) + s * s) * pref * value
@@ -139,10 +187,58 @@ def oracle_zbot(n, s, positions, w, extra_order=0):
         factors.append((zj * zk * (t * t) - zj * (2 * delta * t) + 1, -1))
     factors.append(sym_generating_poly(n, s, w))
     specs = [ResidueSpec(f"z{j}", 0, positions[j - 1] - 1) for j in range(1, s + 1)]
-    value = iterated_residue(factors, specs, extra_order=extra_order)
+    value = oracle_residue(factors, specs, extra_order=extra_order)
     pref = qdiv(partition_function(n, w), w.a ** (s * (n - 1)) * w.c ** s)
     for j in range(1, s + 1):
         pref = pref * t ** (j - positions[j - 1])
+    return pref * value
+
+
+def oracle_double(n, r, s, w, extra_order=0):
+    if any(r - s + j - 1 < 0 for j in range(1, s + 1)):
+        return Fraction(0)
+    t, delta = w.t, w.delta
+    inv_t = qdiv(1, t)
+    specs = [ResidueSpec(f"x{j}", 0, r - s + j - 1) for j in range(1, s + 1)]
+    specs += [ResidueSpec(f"y{j}", inv_t, s - 1) for j in range(1, s + 1)]
+    factors: list = []
+    for j in range(1, s + 1):
+        yj = _var("y", j)
+        factors.append((yj, -(r + j - 1)))
+        prod = Poly.const(Fraction(1))
+        for l in range(1, j + 1):
+            prod = prod * _var("x", l) * _var("y", l)
+        factors.append((1 - prod, -1))
+    for j in range(1, s + 1):
+        for k in range(j + 1, s + 1):
+            xj, xk = _var("x", j), _var("x", k)
+            yj, yk = _var("y", j), _var("y", k)
+            factors.append(yk - yj)
+            factors.append(yj * yk - yk * (2 * delta) + 1)
+            factors.append(xk - xj)
+            factors.append((xj * xk - xj * (2 * delta) + 1, -1))
+    h_ns = Poly(tuple(f"x{j}" for j in range(1, s + 1)), sym_generating_poly(n, s, w).terms)
+    factors.append(scaled(h_ns, inv_t))
+    value = oracle_residue(factors, specs, extra_order=extra_order)
+    return value * t ** (-s * s)
+
+
+def oracle_ztop(n, s, positions, w, extra_order=0):
+    t, delta = w.t, w.delta
+    factors: list = []
+    for j in range(1, s + 1):
+        if positions[j - 1] > 1:
+            factors.append((_var("w", j), positions[j - 1] - 1))
+    for j in range(1, s + 1):
+        for k in range(j + 1, s + 1):
+            wj, wk = _var("w", j), _var("w", k)
+            factors.append(wj - wk)
+            factors.append(wj * wk * (t * t) - wj * (2 * delta * t) + 1)
+    specs = [ResidueSpec(f"w{j}", 1, s - 1) for j in range(1, s + 1)]
+    value = oracle_residue(factors, specs, extra_order=extra_order)
+    pref = w.c ** s * w.a ** (s * (n - 1))
+    for j in range(1, s + 1):
+        pref = pref * t ** (positions[j - 1] - j)
     return pref * value
 
 
@@ -192,6 +288,24 @@ def test_zbot_kernel_matches_the_factor_list(weights):
                            oracle_zbot(n, s, pos, weights))
 
 
+@pytest.mark.parametrize("extra_order", (0, 2))
+@pytest.mark.parametrize("weights", (FF, GEN, HALF), ids=("FF", "GEN", "HALF"))
+def test_double_kernel_matches_the_factor_list(weights, extra_order):
+    with kernel_scope():
+        for n, r, s in efp_cases(4, 3):
+            assert_exactly(efp_contour_double(n, r, s, weights, extra_order),
+                           oracle_double(n, r, s, weights, extra_order))
+
+
+@pytest.mark.parametrize("weights", (FF, GEN, HALF), ids=("FF", "GEN", "HALF"))
+def test_ztop_matches_the_factor_list(weights):
+    for n, s, pos in position_sets(4):
+        assert_exactly(ztop_contour(n, s, pos, weights),
+                       oracle_ztop(n, s, pos, weights))
+        assert_exactly(ztop_contour(n, s, pos, weights, extra_order=1),
+                       oracle_ztop(n, s, pos, weights))
+
+
 @FEW
 @given(TRIPLES, st.data())
 def test_kernels_match_the_factor_lists_on_random_weights(triple, data):
@@ -201,9 +315,52 @@ def test_kernels_match_the_factor_lists_on_random_weights(triple, data):
     s = data.draw(st.integers(1, r))
     for form, oracle in EFP_FORMS:
         assert_exactly(form(n, r, s, weights), oracle(n, r, s, weights))
+    if s <= 3:
+        assert_exactly(efp_contour_double(n, r, s, weights),
+                       oracle_double(n, r, s, weights))
     pos = data.draw(st.sampled_from([p for m, k, p in position_sets(n) if m == n]))
-    assert_exactly(zbot_contour(n, len(pos), pos, weights),
-                   oracle_zbot(n, len(pos), pos, weights))
+    for contour, oracle in ((zbot_contour, oracle_zbot), (ztop_contour, oracle_ztop)):
+        assert_exactly(contour(n, len(pos), pos, weights),
+                       oracle(n, len(pos), pos, weights))
+
+
+# -- the residue engine against the slice-and-merge loop --------------------------
+
+NAMES = ("v1", "v2", "v3")
+CENTERS = st.sampled_from((0, Fraction(1), Fraction(1, 2), Fraction(-2, 3)))
+COEFFICIENTS = st.builds(Fraction, st.integers(-6, 6).filter(bool), st.integers(1, 5))
+
+
+@st.composite
+def residue_problems(draw):
+    """A factor list and its specs: one to three variables with centers 0
+    or rational, each factor a polynomial on some of them raised to a power
+    in -2..2 (a negative power of a factor that vanishes at its center
+    must raise in both engines)."""
+    names = NAMES[:draw(st.integers(1, 3))]
+    specs = [ResidueSpec(v, draw(CENTERS), draw(st.integers(0, 2))) for v in names]
+    factors = []
+    for _ in range(draw(st.integers(0, 4))):
+        support = draw(st.sets(st.sampled_from(names), min_size=1))
+        terms = {tuple(draw(st.integers(0, 2)) if v in support else 0 for v in names):
+                 draw(COEFFICIENTS) for _ in range(draw(st.integers(1, 3)))}
+        factors.append((Poly(names, terms), draw(st.integers(-2, 2))))
+    return factors, specs
+
+
+def residue_outcome(engine, factors, specs, **kwargs):
+    try:
+        return "value", engine(factors, specs, **kwargs)
+    except ZeroConstantTerm:
+        return "raises", ZeroConstantTerm
+
+
+@SETTINGS
+@given(residue_problems(), st.sampled_from((0, 2)))
+def test_residue_engine_matches_the_slice_and_merge_loop(problem, extra_order):
+    factors, specs = problem
+    got = residue_outcome(iterated_residue, factors, specs, extra_order=extra_order)
+    assert got == residue_outcome(oracle_residue, factors, specs, extra_order=extra_order)
 
 
 # -- float weights: equal up to rounding -------------------------------------------
@@ -219,9 +376,14 @@ def test_float_kernels_match_the_factor_lists_to_rounding():
                 got = form(n, r, s, FLOATS)
                 assert isinstance(got, mpmath.mpf)
                 assert rel_err(got, oracle(n, r, s, FLOATS)) <= slack, (form, n, r, s)
+        for n, r, s in efp_cases(4, 3):
+            got = efp_contour_double(n, r, s, FLOATS)
+            assert rel_err(got, oracle_double(n, r, s, FLOATS)) <= slack, (n, r, s)
         for n, s, pos in position_sets(4):
-            assert rel_err(zbot_contour(n, s, pos, FLOATS),
-                           oracle_zbot(n, s, pos, FLOATS)) <= slack
+            for contour, oracle in ((zbot_contour, oracle_zbot),
+                                    (ztop_contour, oracle_ztop)):
+                assert rel_err(contour(n, s, pos, FLOATS),
+                               oracle(n, s, pos, FLOATS)) <= slack, (contour, pos)
 
 
 # -- the kernel scope ------------------------------------------------------------
@@ -236,9 +398,9 @@ def count_builds(monkeypatch, name: str) -> list:
     calls = []
     build = getattr(correlations, name)
 
-    def counted(ring, weights):
+    def counted(ring, weights, *args):
         calls.append(ring.orders)
-        return build(ring, weights)
+        return build(ring, weights, *args)
 
     monkeypatch.setattr(correlations, name, counted)
     return calls
@@ -257,6 +419,17 @@ def test_a_scope_builds_each_kernel_once(monkeypatch):
         assert len(builds) == 2 and len(memo()) == 2
     assert memo() is None
     assert values == [oracle_sym(n, 3, 2, GEN) for n in (3, 4, 5)]
+
+
+def test_a_double_kernel_is_keyed_by_r(monkeypatch):
+    builds = count_builds(monkeypatch, "_double_kernel")
+    with kernel_scope():
+        values = [efp_contour_double(n, 3, 2, GEN) for n in (3, 4)]
+        assert builds == [(1, 2, 1, 1)]
+        efp_contour_double(4, 4, 2, GEN)
+        assert builds == [(1, 2, 1, 1), (2, 3, 1, 1)]
+        assert sorted(key[3] for key in memo()) == [(3,), (4,)]
+    assert values == [oracle_double(n, 3, 2, GEN) for n in (3, 4)]
 
 
 def test_a_call_outside_a_scope_leaves_no_entry(monkeypatch):

@@ -126,7 +126,7 @@ def oracle_sym_generating_poly(n: int, s: int, weights) -> Poly:
         var = _zvar(m)
         total = None
         for i, j in enumerate(rows_sorted, start=1):
-            g = g_rows[j - 1].rename_vars({"_z": var})
+            g = Poly((var,), g_rows[j - 1].terms)
             term = g * reduced_minor(row_set - {j})
             if (i + m) % 2:
                 term = -term

@@ -306,6 +306,15 @@ def test_equal_int_and_fraction_weights_give_values_of_one_type():
         assert type(partition_function(4, second)) is int
 
 
+def test_exact_t_is_rational_when_a_divides_b():
+    # an int t turns t ** -k into a float
+    for weights in (HomogeneousWeights(1, 2, 1), HomogeneousWeights(Q(3), Q(6), Q(4))):
+        assert type(weights.t) is type(Q(1)) and weights.t == 2
+        assert weights.t ** -2 == Q(1, 4)
+    assert HomogeneousWeights(2, 3, 4).t == Q(3, 2)
+    assert isinstance(HomogeneousWeights(mpmath.mpf(1), mpmath.mpf(2), 1).t, mpmath.mpf)
+
+
 def test_mixed_weights_store_their_rationals_as_mpf():
     # a Fraction beside mpf entries made t and delta raise TypeError
     mixed = HomogeneousWeights(mpmath.mpf(1), Q(1, 2), mpmath.mpf(2))

@@ -1,5 +1,6 @@
 """tools/report_diff.py: equal reports exit 0, a differing entry is printed
-by check id and field and exits 1, and the parent tree is always removed."""
+by check id and field, with the worst discrepancy of each side, and exits
+1, and the parent tree is always removed."""
 
 import importlib.util
 import shutil
@@ -38,9 +39,9 @@ def test_equal_trees_print_one_digest_and_exit_zero(report_diff, capsys):
     assert not tree.exists()
 
 
-def _entry(check_id, lhs, status="pass"):
+def _entry(check_id, lhs, status="pass", discrepancy="0"):
     return {"check_id": check_id, "params": {"n": "1"}, "status": status,
-            "lhs": lhs, "rhs": "1", "discrepancy": "0"}
+            "lhs": lhs, "rhs": "1", "discrepancy": discrepancy}
 
 
 def test_differing_entries_are_printed_by_check_and_field(report_diff, monkeypatch,
@@ -55,9 +56,32 @@ def test_differing_entries_are_printed_by_check_and_field(report_diff, monkeypat
     assert report_diff.main(ARGS) == 1
     lines = capsys.readouterr().out.splitlines()
     assert lines[2:] == ['boundary.single_site: 1 entries differ (status 1, lhs 1)',
+                         '  worst discrepancy: 0 -> 0',
                          '  [1] status: "pass" -> "fail"',
                          '  [1] lhs: "1" -> "2"']
     assert not report_diff.trees[0].exists()
+
+
+def test_each_check_shows_the_worst_discrepancy_of_its_differing_entries(
+        report_diff, monkeypatch, capsys):
+    base = [("1.0", "2.22e-16"), ("0.5", "0"), ("0.25", "9.99e-16"), ("2", "1e-15")]
+    change = [("1.1", "1.11e-16"), ("0.6", "1.34e-15"), ("0.25", "9.99e-16"),
+              ("3", "ValueError: boom")]
+
+    def reports(tree, icelab_args):
+        rows = change if tree == report_diff.ROOT else base
+        ids = ["efp.double_integral_vs_enum"] * 3 + ["rcp.top_integral_vs_enum"]
+        return [_entry(i, lhs, discrepancy=d) for i, (lhs, d) in zip(ids, rows)]
+
+    monkeypatch.setattr(report_diff, "reports", reports)
+    assert report_diff.main(ARGS) == 1
+    lines = capsys.readouterr().out.splitlines()
+    # the third entry is equal on both sides, so its 9.99e-16 is not counted
+    assert lines[2:4] == ['efp.double_integral_vs_enum: 2 entries differ '
+                          '(lhs 2, discrepancy 2)',
+                          '  worst discrepancy: 2.22e-16 -> 1.34e-15']
+    assert '  worst discrepancy: 1e-15 -> -' in lines
+    assert report_diff.worst_discrepancy([]) == "-"
 
 
 def test_a_changed_entry_count_is_a_difference(report_diff, monkeypatch, capsys):

@@ -16,6 +16,7 @@ order of a sum's keys follows its summation order, which no caller reads.
 import itertools
 import json
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -286,7 +287,9 @@ def test_rational_lhs_matches_the_literal_sum(s, data):
 
 
 def test_rational_lhs_stays_exact_when_u_is_an_int():
-    weights = HomogeneousWeights(1, 2, 1)   # t^2 - 2 delta t = 0, so u = 1 - z
+    # the t and delta of HomogeneousWeights(1, 2, 1) as ints (the weights
+    # give a rational t): t^2 - 2 delta t = 0, so u = 1 - z is an int
+    weights = SimpleNamespace(t=2, delta=1)
     zs = (2, 3, 5)
     assert isinstance(oracle_rational_lhs(zs, weights), float)
     got = identities._rational_lhs(zs, weights)

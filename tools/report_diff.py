@@ -8,7 +8,8 @@ ends; the change is the working tree this script sits in.  Each tree runs
 ``cli.run(cli.parse_config(ICELAB_ARGS))`` in its own interpreter.  The
 script prints each side's report sha256 (of the report array dumped with
 sorted keys and an indent of 2, as the tests and the benchmark hash it),
-then, per check id, how many entries differ in each field, and each
+then, per check id, how many entries differ in each field, the worst
+(largest numeric) discrepancy among those entries on each side, and each
 differing entry with its old and new field values.  Entries are matched by
 position.  It exits 1 when the reports differ and 0 when they are equal.
 """
@@ -54,6 +55,21 @@ def digest(entries: list) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
+def worst_discrepancy(entries: list) -> str:
+    """The largest discrepancy of the entries that is a number, as it is
+    rendered, or "-" when none is (an error report's discrepancy is its
+    message)."""
+    worst = None
+    for entry in entries:
+        try:
+            value = float(entry.get("discrepancy"))
+        except (TypeError, ValueError):
+            continue
+        if worst is None or value > worst[0]:
+            worst = (value, entry["discrepancy"])
+    return "-" if worst is None else worst[1]
+
+
 def differences(base: list, change: list) -> list:
     """Report lines for the entries that differ, grouped by check id."""
     lines = []
@@ -68,6 +84,9 @@ def differences(base: list, change: list) -> list:
         counts = {f: sum(f in fields for *_, fields in entries) for f in FIELDS}
         lines.append(f"{check_id}: {len(entries)} entries differ ("
                      + ", ".join(f"{f} {n}" for f, n in counts.items() if n) + ")")
+        lines.append("  worst discrepancy: "
+                     f"{worst_discrepancy([old for _, old, _, _ in entries])} -> "
+                     f"{worst_discrepancy([new for _, _, new, _ in entries])}")
         for index, old, new, fields in entries:
             for field in fields:
                 lines.append(f"  [{index}] {field}: {json.dumps(old.get(field))}"
