@@ -2,44 +2,60 @@
 
 Two kinds of scalar flow through the workbench:
 
-* exact rationals (``fractions.Fraction``, or ``gmpy2.mpq`` when the
-  optional gmpy2 extra is installed) -- equality is decidable, arithmetic
-  never rounds, denominators stay reduced and positive;
+* exact rationals: ``int`` and ``fractions.Fraction``, the two types in
+  ``EXACT_TYPES`` -- equality is decidable, arithmetic never rounds,
+  denominators stay reduced and positive;
 * floats (``mpmath`` real/complex values) -- used for the trigonometric
   parametrization, where comparisons always carry an explicit relative
   tolerance and the working precision is set by the caller.
 
+This module alone decides which scalars are exact (``is_exact``) and
+clears their denominators (``common_denominator``, ``integer_numerators``)
+for the integer multiply kernels of ``poly`` and ``series``.
 Polynomials and truncated series are generic over the coefficient type;
-everything here is duck-typed arithmetic plus a few helpers.
+everything else here is duck-typed arithmetic plus a few helpers.
 """
 
 from __future__ import annotations
 
-import fractions
-from typing import Any, Union
+import math
+from fractions import Fraction
+from typing import Mapping
 
 import mpmath
 
-try:
-    from gmpy2 import mpq as _mpq
+# exact by type, not by isinstance: bool and int subclasses are inexact
+EXACT_TYPES = {int, Fraction}
 
-    def rational(num, den=1):
-        return _mpq(num, den)
-
-except ImportError:  # gmpy2 is an optional extra; Fraction is the default path
-    def rational(num, den=1):
-        return fractions.Fraction(num, den)
-
-Scalar = Any
-Rational = Union["gmpy2.mpq", fractions.Fraction, int]
-
+rational = Fraction
 ZERO = rational(0)
 ONE = rational(1)
 
 
 def is_exact(x) -> bool:
-    """True for ints and reduced rationals, False for mpmath values."""
-    return isinstance(x, (int, fractions.Fraction)) or type(x).__name__ == "mpq"
+    """True for ints and Fractions, False for mpmath values (and bools)."""
+    return type(x) in EXACT_TYPES
+
+
+def common_denominator(coeffs) -> int:
+    """The lcm of the denominators, or 0 unless every coefficient is
+    exact."""
+    if not set(map(type, coeffs)) <= EXACT_TYPES:
+        return 0
+    return math.lcm(*{c.denominator for c in coeffs})
+
+
+def integer_numerators(values: Mapping) -> tuple:
+    """(nums, den) for a dict of coefficients: integer numerators by the
+    same keys over den, the lcm of the denominators, when every
+    coefficient is exact (so their content is coprime to den); else the
+    values as they are and den 0."""
+    den = common_denominator(values.values())
+    if den == 1:
+        return {k: c.numerator for k, c in values.items()}, 1
+    if den:
+        return {k: c.numerator * (den // c.denominator) for k, c in values.items()}, den
+    return values, 0
 
 
 def qdiv(a, b):
@@ -55,7 +71,7 @@ def qdiv(a, b):
 def rel_err(lhs, rhs) -> float:
     """Max-relative discrepancy |lhs-rhs| / max(|lhs|, |rhs|); 0 when the
     two are equal, zero included."""
-    # multiply into mpmath first: gmpy2's mpq refuses mixed subtraction
+    # multiply into mpmath first: a Fraction refuses to subtract an mpf
     lf = mpmath.mpf(1) * lhs
     rf = mpmath.mpf(1) * rhs
     diff = abs(lf - rf)

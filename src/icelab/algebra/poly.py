@@ -14,16 +14,17 @@ is wide enough for the sum of two exponents plus one guard bit.  A
 truncated series biases its first operand's keys so that a field's guard
 bit is set exactly when the sum exceeds that variable's order, which
 makes the truncation test ``(k1 + k2) & guard``; a polynomial is never
-truncated and uses guard 0.  When every coefficient is an int or a
-``Fraction``, the loop multiplies integer numerators over one common
+truncated and uses guard 0.  When every coefficient is exact (see
+``field``), the loop multiplies integer numerators over one common
 denominator per operand; mpmath coefficients run through the same loop
 with their own arithmetic.
 
 A polynomial keeps its terms by exponent tuple, so ``Packing.product``
-packs both operands for each product and reduces each output term to a
-rational once (a plain int when it is integral).  A truncated series is
-stored packed, as integer numerators over one denominator, and calls
-``sparse_product`` directly (see ``series``).
+packs both operands for each product, clearing their denominators with
+``field.integer_numerators`` when both are exact, and reduces each output
+term to a rational once (a plain int when it is integral).  A truncated
+series is stored packed, as integer numerators over one denominator, and
+calls ``sparse_product`` directly (see ``series``).
 
 ``poly_exact_div`` performs long division that is required to terminate
 with remainder zero (Vandermonde divisions of antisymmetric numerators);
@@ -34,14 +35,14 @@ from __future__ import annotations
 
 import itertools
 import math
-from fractions import Fraction
 from operator import lshift
 from typing import Mapping, Sequence
 
 import mpmath
 
 from ..errors import NonzeroRemainder
-from .field import ONE, ZERO, format_scalar, is_exact, qdiv
+from .field import (EXACT_TYPES, ONE, ZERO, format_scalar, integer_numerators,
+                    is_exact, qdiv)
 
 
 # -- the sparse multiply kernel ------------------------------------------
@@ -76,61 +77,34 @@ class Packing:
         self.bias = bias
         self.guard = guard
 
-    def keys(self, exponents, positions: Sequence[int] | None = None,
-             biased: bool = False) -> list:
+    def keys(self, exponents, positions: Sequence[int]) -> list:
         """Packed keys of exponent tuples whose entry j belongs to field
-        ``positions[j]`` (default: field j), with the bias if asked."""
-        shifts = self.shifts if positions is None else [self.shifts[p] for p in positions]
-        base = self.bias if biased else 0
-        return [sum(map(lshift, e, shifts)) + base for e in exponents]
+        ``positions[j]``."""
+        shifts = [self.shifts[p] for p in positions]
+        return [sum(map(lshift, e, shifts)) for e in exponents]
 
     def unpack(self, key: int) -> tuple:
         """The exponent tuple of an unbiased key."""
         return tuple([(key >> s) & m for s, m in zip(self.shifts, self.masks)])
 
-    def product(self, a: Mapping, b: Mapping,
-                a_positions: Sequence[int] | None = None,
-                b_positions: Sequence[int] | None = None) -> dict:
+    def product(self, a: Mapping, b: Mapping, a_positions: Sequence[int],
+                b_positions: Sequence[int]) -> dict:
         """The terms of the product of two term dicts, by exponent tuple,
-        with every term outside the truncation dropped.  ``a_positions``
-        and ``b_positions`` are as in ``keys``.  Integer numerators over
-        the common denominator are reduced to rationals (ints when
-        integral)."""
-        den, ca, cb = exact_numerators(a, b)
+        without truncation; ``a_positions`` and ``b_positions`` are as in
+        ``keys``.  When both are exact, integer numerators over each
+        operand's common denominator are multiplied, and each output term
+        is reduced to a rational (an int when integral) once."""
+        den = 0
+        if {*map(type, a.values()), *map(type, b.values())} <= EXACT_TYPES:
+            (a, da), (b, db) = integer_numerators(a), integer_numerators(b)
+            den = da * db
         out: dict = {}
-        sparse_product(list(zip(self.keys(a, a_positions, biased=True), ca)),
-                       list(zip(self.keys(b, b_positions), cb)),
-                       self.guard, out)
-        unpack, bias = self.unpack, self.bias
+        sparse_product(list(zip(self.keys(a, a_positions), a.values())),
+                       list(zip(self.keys(b, b_positions), b.values())), 0, out)
+        unpack = self.unpack
         if den > 1:
-            return {unpack(k - bias): qdiv(n, den) for k, n in out.items()}
-        return {unpack(k - bias): c for k, c in out.items()}
-
-
-def exact_numerators(a: Mapping, b: Mapping) -> tuple:
-    """(den, a_coeffs, b_coeffs) for multiplying the coefficients of two
-    term dicts.  When every coefficient is an int or a Fraction, each
-    operand is scaled to integer numerators over the lcm of its
-    denominators, and den is the product of the two lcms; otherwise den
-    is 0 and the coefficients are returned as they are."""
-    da = common_denominator(a.values())
-    db = common_denominator(b.values()) if da else 0
-    if not db:
-        return 0, list(a.values()), list(b.values())
-    return (da * db,
-            [c.numerator * (da // c.denominator) for c in a.values()],
-            [c.numerator * (db // c.denominator) for c in b.values()])
-
-
-EXACT_TYPES = {int, Fraction}
-
-
-def common_denominator(coeffs) -> int:
-    """The lcm of the denominators, or 0 unless every coefficient is an
-    int or a Fraction (bool and subclasses take the general path)."""
-    if not set(map(type, coeffs)) <= EXACT_TYPES:
-        return 0
-    return math.lcm(*{c.denominator for c in coeffs})
+            return {unpack(k): qdiv(n, den) for k, n in out.items()}
+        return {unpack(k): c for k, c in out.items()}
 
 
 def sparse_product(a: list, b: list, guard: int, out: dict) -> None:

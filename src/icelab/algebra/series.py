@@ -17,8 +17,10 @@ coefficients are:
   int numerator, and ``gcd(den, *nums.values()) == 1`` after every
   operation, so ``den`` is the lcm of the reduced denominators and the
   integers grow no faster than reduced rationals would.
-* ``den == 0``: generic.  Some coefficient is not an int or a
-  ``Fraction`` (mpmath values), and the values are stored as they are.
+* ``den == 0``: generic.  Some coefficient is not exact (mpmath values),
+  and the values are stored as they are.
+
+``field.integer_numerators`` brings coefficients into this form.
 
 Sums, negation, scalar multiples and inversion work on the numerators
 over the lcm of the operands' denominators.  A product biases its left
@@ -48,8 +50,8 @@ from typing import Mapping, Sequence
 import mpmath
 
 from ..errors import ZeroConstantTerm
-from .field import ONE, ZERO, qdiv
-from .poly import EXACT_TYPES, Packing, Poly, common_denominator, sparse_product
+from .field import EXACT_TYPES, ONE, ZERO, integer_numerators, qdiv
+from .poly import Packing, Poly, sparse_product
 
 
 class SeriesRing:
@@ -121,7 +123,7 @@ class SeriesRing:
         pos = [self._index.get(v) for v in poly.vars]
         shifts = [0 if i is None else self.packing.shifts[i] for i in pos]
         orders = [0 if i is None else self.orders[i] for i in pos]
-        return TruncatedSeries._of(self, *_packed_form(
+        return TruncatedSeries._of(self, *integer_numerators(
             {sum(map(lshift, e, shifts)): c for e, c in poly.terms.items()
              if all(map(le, e, orders))}))
 
@@ -164,7 +166,7 @@ class TruncatedSeries:
         coefficients and terms outside the truncation are dropped."""
         shifts, orders = ring.packing.shifts, ring.orders
         self.ring = ring
-        self.nums, self.den = _packed_form(
+        self.nums, self.den = integer_numerators(
             {sum(map(lshift, e, shifts)): c for e, c in terms.items()
              if c != 0 and all(map(le, e, orders))})
 
@@ -185,7 +187,7 @@ class TruncatedSeries:
         by their common factor with den; generic values that all came out
         exact become exact."""
         if not den:
-            return cls._of(ring, *_packed_form(nums))
+            return cls._of(ring, *integer_numerators(nums))
         g = math.gcd(den, *nums.values())
         if g > 1:
             nums = {k: n // g for k, n in nums.items()}
@@ -397,19 +399,6 @@ class TruncatedSeries:
 
     def __repr__(self):
         return f"TruncatedSeries({self.as_poly()!r} @ {self.ring!r})"
-
-
-def _packed_form(values: dict) -> tuple:
-    """(nums, den) of nonzero coefficients by packed key: integer
-    numerators over the lcm of the denominators when every coefficient is
-    an int or a Fraction (so their content is coprime to it), else the
-    values as they are and den 0."""
-    den = common_denominator(values.values())
-    if den == 1:
-        return {k: c.numerator for k, c in values.items()}, 1
-    if den:
-        return {k: c.numerator * (den // c.denominator) for k, c in values.items()}, den
-    return values, 0
 
 
 def series_sin(f: TruncatedSeries) -> TruncatedSeries:

@@ -414,9 +414,7 @@ def _suite_antisym(run: _Runner, rng: DeterministicRng):
                       lams, nus, eta, zeta, zeta2, exact=False)
         for s in range(1, min(cfg.s_max, 4) + 1):
             w = weight_triple(rng)
-            a = w.t * w.t - 2 * w.delta * w.t
-            zs = distinct_rationals(
-                rng, s, accept_each=lambda v: v != 1 and (a * v + 1) != 0)
+            zs = _rational_kernel_points(rng, s, w)
             run.check("antisym.rational_kernel_vs_partition_fn",
                       {"draw": draw, "s": s, "zs": zs, "weights": (w.a, w.b, w.c)},
                       identities.check_rational_antisymmetrization, zs, w, exact=True)
@@ -432,7 +430,7 @@ def _suite_antisym(run: _Runner, rng: DeterministicRng):
                       exact=True)
         for s in range(1, min(cfg.s_max, 3) + 1):
             w = weight_triple(rng)
-            zs = _homogeneous_cauchy_points(rng, s, w)
+            zs = _rational_kernel_points(rng, s, w)
             run.check("antisym.cauchy_homogeneous_vs_confluent",
                       {"draw": draw, "s": s},
                       lambda: (identities.cauchy_ratio_homogeneous(zs, w),
@@ -442,23 +440,19 @@ def _suite_antisym(run: _Runner, rng: DeterministicRng):
                       exact=True)
 
 
+def _rational_kernel_points(rng, s, w) -> tuple:
+    """s distinct rationals z with z != 1 and a z + 1 != 0, a = t^2 - 2
+    delta t.  The rational kernel is finite there, and so is the
+    homogeneous Cauchy ratio at x = t z, y0 = 1/t: 1 - x y0 = 1 - z and x
+    + y0 - 2 delta x y0 = (a z + 1) / t."""
+    a = w.t * w.t - 2 * w.delta * w.t
+    return distinct_rationals(rng, s, accept_each=lambda v: v != 1 and a * v + 1 != 0)
+
+
 def _double_antisym_admissible(xs, ys, tau) -> bool:
+    # the singleton subsets already keep every x y away from 1
     return identities.subset_products_avoid_one(xs, ys) and all(
-        1 - x * y != 0 and x + y + tau * x * y != 0 for x in xs for y in ys)
-
-
-def _homogeneous_cauchy_points(rng, s, w):
-    t, delta = w.t, w.delta
-    a = t * t - 2 * delta * t
-
-    def each(z):
-        if z == 1 or a * z + 1 == 0:
-            return False
-        x = t * z
-        y0 = rational(1) / t
-        return 1 - x * y0 != 0 and x + y0 - 2 * delta * x * y0 != 0
-
-    return distinct_rationals(rng, s, accept_each=each)
+        x + y + tau * x * y != 0 for x in xs for y in ys)
 
 
 def _suite_tracy_widom(run: _Runner, rng: DeterministicRng):

@@ -61,8 +61,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Mapping, Sequence
 
-from .algebra.field import ONE, qdiv
-from .algebra.poly import Poly, common_denominator, det, vandermonde_value
+from .algebra.field import ONE, common_denominator, qdiv
+from .algebra.poly import Poly, det, vandermonde_value
 from .algebra.series import SeriesRing, TruncatedSeries
 from .errors import (CoincidingParameters, PoleCollision, PoleHit,
                      PositionsOutOfRange, ZeroConstantTerm)
@@ -283,18 +283,17 @@ def _expand_factors(factors: Sequence, centers: Mapping[str, object],
     return scalar, expanded
 
 
-def iterated_residue(factors: Sequence, specs: Sequence[ResidueSpec], *,
-                     extra_order: int = 0):
+def iterated_residue(factors: Sequence, specs: Sequence[ResidueSpec]):
     """Evaluate an iterated contour integral as coefficient extraction.
 
     ``factors`` are (Poly, power) pairs (a bare Poly means power 1) in the
     unshifted variables.  Their product is expanded around the specs'
     centers (raising ZeroConstantTerm when a declared-analytic factor
-    vanishes at its center) in the ring truncated at the target exponents
-    plus ``extra_order``, and the coefficient of the targets is read off.
+    vanishes at its center) in the ring truncated at the target exponents,
+    and the coefficient of the targets is read off.
     """
     ring = SeriesRing(tuple(sp.var for sp in specs),
-                      tuple(sp.target_exponent + extra_order for sp in specs))
+                      tuple(sp.target_exponent for sp in specs))
     product = _factor_product(ring, factors, centers={sp.var: sp.center for sp in specs})
     return product.coefficient_value({sp.var: sp.target_exponent for sp in specs})
 
@@ -468,14 +467,13 @@ def _asym_kernel(ring: SeriesRing, weights: HomogeneousWeights) -> TruncatedSeri
     return _factor_product(ring, factors)
 
 
-def efp_contour_asym(n: int, r: int, s: int, weights: HomogeneousWeights,
-                     extra_order: int = 0):
+def efp_contour_asym(n: int, r: int, s: int, weights: HomogeneousWeights):
     """EFP as an s-fold integral around 0 with a non-symmetric integrand."""
     if s == 0:
         return ONE
     if not 1 <= r <= n:
         raise PositionsOutOfRange(f"r={r} outside 1..{n}")
-    kernel = _kernel(_asym_kernel, weights, (r - 1 + extra_order,) * s)
+    kernel = _kernel(_asym_kernel, weights, (r - 1,) * s)
     value = _read_residue(kernel, sym_generating_poly(n, s, weights), (r - 1,) * s)
     return value if s % 2 == 0 else -value
 
@@ -541,8 +539,7 @@ def _cauchy_kernel(ring: SeriesRing, weights: HomogeneousWeights) -> TruncatedSe
     return _factor_product(ring, factors, h_ss)
 
 
-def efp_contour_cauchy(n: int, r: int, s: int, weights: HomogeneousWeights,
-                       extra_order: int = 0):
+def efp_contour_cauchy(n: int, r: int, s: int, weights: HomogeneousWeights):
     """EFP in the form obtained after integrating out one variable set:
     the x-integrand carries the homogeneous-limit Cauchy-determinant
     ratio, expanded through the u-transformed generating polynomial, and
@@ -552,7 +549,7 @@ def efp_contour_cauchy(n: int, r: int, s: int, weights: HomogeneousWeights,
     if not 1 <= r <= n:
         raise PositionsOutOfRange(f"r={r} outside 1..{n}")
     t = weights.t
-    kernel = _kernel(_cauchy_kernel, weights, (r - 1 + extra_order,) * s)
+    kernel = _kernel(_cauchy_kernel, weights, (r - 1,) * s)
     value = _read_residue(kernel, sym_generating_poly(n, s, weights), (r - 1,) * s,
                           scale=qdiv(1, t))
     # scalars: t^{s(r-1)} / s! from the formula, (-1)^{s(s-1)/2} from the
@@ -595,8 +592,7 @@ def _double_kernel(ring: SeriesRing, weights: HomogeneousWeights, r: int) -> Tru
             f"weights {weights}: {exc}") from exc
 
 
-def efp_contour_double(n: int, r: int, s: int, weights: HomogeneousWeights,
-                       extra_order: int = 0):
+def efp_contour_double(n: int, r: int, s: int, weights: HomogeneousWeights):
     """EFP as the 2s-fold integral over both variable sets, after the
     ordered geometric summation: x-contours around 0, y-contours around
     1/t.  Intended for small s; the joint expansion cost grows quickly."""
@@ -608,8 +604,7 @@ def efp_contour_double(n: int, r: int, s: int, weights: HomogeneousWeights,
         return 0 * ONE
     t = weights.t
     targets = tuple(r - s + j - 1 for j in range(1, s + 1)) + (s - 1,) * s
-    kernel = _kernel(_double_kernel, weights,
-                     tuple(e + extra_order for e in targets), r)
+    kernel = _kernel(_double_kernel, weights, targets, r)
     value = _read_residue(kernel, sym_generating_poly(n, s, weights), targets,
                           scale=qdiv(1, t))
     return value * t ** (-s * s)
@@ -629,7 +624,7 @@ def _zbot_kernel(ring: SeriesRing, weights: HomogeneousWeights) -> TruncatedSeri
 
 
 def zbot_contour(n: int, s: int, positions: Sequence[int],
-                 weights: HomogeneousWeights, extra_order: int = 0):
+                 weights: HomogeneousWeights):
     """Bottom partition function as an s-fold integral around 0.
 
     Positions must be strictly increasing; nonpositive entries are
@@ -645,7 +640,7 @@ def zbot_contour(n: int, s: int, positions: Sequence[int],
         return 0 * ONE
     t = weights.t
     targets = tuple(p - 1 for p in positions)
-    kernel = _kernel(_zbot_kernel, weights, tuple(e + extra_order for e in targets))
+    kernel = _kernel(_zbot_kernel, weights, targets)
     value = _read_residue(kernel, sym_generating_poly(n, s, weights), targets)
     pref = partition_function(n, weights)
     pref = qdiv(pref, weights.a ** (s * (n - 1)) * weights.c ** s)
@@ -655,7 +650,7 @@ def zbot_contour(n: int, s: int, positions: Sequence[int],
 
 
 def ztop_contour(n: int, s: int, positions: Sequence[int],
-                 weights: HomogeneousWeights, extra_order: int = 0):
+                 weights: HomogeneousWeights):
     """Top partition function as an s-fold integral around 1; the
     integrand is polynomial apart from the declared order-s poles."""
     if s == 0:
@@ -675,7 +670,7 @@ def ztop_contour(n: int, s: int, positions: Sequence[int],
             factors.append(wj - wk)
             factors.append(wj * wk * (t * t) - wj * (2 * delta * t) + 1)
     specs = [ResidueSpec(f"w{j}", 1, s - 1) for j in range(1, s + 1)]
-    value = iterated_residue(factors, specs, extra_order=extra_order)
+    value = iterated_residue(factors, specs)
     pref = weights.c ** s * weights.a ** (s * (n - 1))
     for j in range(1, s + 1):
         pref = pref * t ** (positions[j - 1] - j)

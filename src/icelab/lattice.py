@@ -36,14 +36,13 @@ a scan of every pair of states gives.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterator, Sequence, Union
 
 import mpmath
 
-from .algebra.field import is_exact, qdiv, rational
+from .algebra.field import integer_numerators, is_exact, qdiv, rational
 from .errors import (DegenerateWeights, CoincidingParameters,
                      PositionsOutOfRange, WidthMismatch)
 
@@ -292,14 +291,13 @@ def _row_weights(n: int, weights: WeightSpec, sk: Skeleton) -> tuple:
     the value as it is.  ``one`` is the boundary vectors' entry.
     """
     if isinstance(weights, HomogeneousWeights) and weights.exact:
-        rationals = [rational(x) for x in (weights.a, weights.b, weights.c)]
-        d = math.lcm(*(q.denominator for q in rationals))
-        a, b, c = (q.numerator * (d // q.denominator) for q in rationals)
+        nums, d = integer_numerators({x: getattr(weights, x) for x in "abc"})
+        a, b, c = nums.values()
         power = [a ** i * b ** j * c ** l for i, j, l in sk.counts].__getitem__
         rows = tuple(tuple(list(map(power, classes)) for _, _, classes in row)
                      for row in sk.rows)
         # int weights have int products, so their entries stay ints
-        if all(type(x) is int for x in (weights.a, weights.b, weights.c)):
+        if d == 1:
             return 1, rows, lambda value, lines: value
         return 1, rows, lambda value, lines: rational(value, d ** (n * lines))
 

@@ -8,6 +8,7 @@ import pytest
 from icelab.algebra import (Poly, SeriesRing, antisymmetrize, det, jet_derivative,
                             parity, poly_exact_div, rational, rel_err, series_sin,
                             vandermonde, vandermonde_value)
+from icelab.algebra.field import common_denominator, is_exact
 from icelab.errors import NonzeroRemainder, ZeroConstantTerm
 from icelab.sampling import DeterministicRng
 from test_helper_oracles import signed_permutations
@@ -35,6 +36,15 @@ def test_rational_normalization():
     x = Q(4, 8)
     assert x.numerator == 1 and x.denominator == 2
     assert Q(3, -6).denominator > 0
+
+
+@pytest.mark.parametrize("x, exact", ((3, True), (Q(2, 3), True), (True, False),
+                                      (mpmath.mpf("0.5"), False),
+                                      (mpmath.mpc(1, 2), False)),
+                         ids=("int", "Fraction", "bool", "mpf", "mpc"))
+def test_is_exact_agrees_with_common_denominator(x, exact):
+    # a value the multiply kernels would not clear must not count as exact
+    assert is_exact(x) == (common_denominator([x]) != 0) == exact
 
 
 def test_rel_err_is_relative_to_the_larger_side_at_any_scale():

@@ -198,6 +198,30 @@ def test_timed_workload_reports_are_pinned(workload, seed):
     assert _digest(reports) == GATED_DIGESTS[workload, seed]
 
 
+# icelab arguments, report count and sha256 of three more runs: the
+# default run, the rcp suite at a seed whose sampled a divides b, and the
+# contour workload on the float backend, whose values render as floats
+RUN_DIGESTS = {
+    "default": (["--seed", "7"], 1770,
+                "cc1fc9c86ac9a7026899ab4ea3c3ae1e65a6fff58ae965c797ce5a9d07af2416"),
+    "rcp": (["--suite", "rcp", "--seed", "47"], 424,
+            "1edb9491bc647150bc921169fc883ba0461d185e3a5612d396155bddd9837fb9"),
+    "contour-float": (["--suite", "generating", "--suite", "efp", "--suite", "rcp",
+                       "--n-max", "5", "--s-max", "4", "--draws", "1",
+                       "--backend", "float", "--seed", "111"], 284,
+                      "2d60ae0a819274b4ee232285f6184288204eae99fddaca3179fa688f13e7dca7"),
+}
+
+
+@pytest.mark.parametrize("name", RUN_DIGESTS)
+def test_reference_run_reports_are_pinned(name):
+    args, count, digest = RUN_DIGESTS[name]
+    code, reports = run(parse_config(args, env={}))
+    assert code == 0, summarize(reports)
+    assert len(reports) == count
+    assert _digest(reports) == digest
+
+
 def test_one_by_one_lattice_with_s_max_one_passes():
     # the truncation-stability check asked for s=2 here and failed
     code, reports = run(SuiteConfig(suites=("efp",), n_max=1, s_max=1, draws=1))

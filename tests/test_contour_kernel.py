@@ -11,12 +11,15 @@ here as the oracle, run through ``oracle_residue``, the slice-and-merge
 ``iterated_residue`` as it was, with h(s, s)(u) written as a polynomial
 over a power of each u's denominator, so that the oracle needs no
 prebuilt series.  Exact values must be equal; float values may differ by
-rounding only.
+rounding only.  The forms truncate at their targets; the oracle also runs
+with a wider truncation, and a kernel built at wider orders must read the
+residues of the one built at the targets.
 """
 
 import itertools
 import math
 from fractions import Fraction
+from operator import le
 
 import mpmath
 import pytest
@@ -178,7 +181,7 @@ def oracle_cauchy(n, r, s, w, extra_order=0):
     return qdiv(sign, math.factorial(s)) * t ** (s * (r - 1) + s * s) * pref * value
 
 
-def oracle_zbot(n, s, positions, w, extra_order=0):
+def oracle_zbot(n, s, positions, w):
     t, delta = w.t, w.delta
     zs = [_var("z", j) for j in range(1, s + 1)]
     factors: list = []
@@ -187,7 +190,7 @@ def oracle_zbot(n, s, positions, w, extra_order=0):
         factors.append((zj * zk * (t * t) - zj * (2 * delta * t) + 1, -1))
     factors.append(sym_generating_poly(n, s, w))
     specs = [ResidueSpec(f"z{j}", 0, positions[j - 1] - 1) for j in range(1, s + 1)]
-    value = oracle_residue(factors, specs, extra_order=extra_order)
+    value = oracle_residue(factors, specs)
     pref = qdiv(partition_function(n, w), w.a ** (s * (n - 1)) * w.c ** s)
     for j in range(1, s + 1):
         pref = pref * t ** (j - positions[j - 1])
@@ -223,7 +226,7 @@ def oracle_double(n, r, s, w, extra_order=0):
     return value * t ** (-s * s)
 
 
-def oracle_ztop(n, s, positions, w, extra_order=0):
+def oracle_ztop(n, s, positions, w):
     t, delta = w.t, w.delta
     factors: list = []
     for j in range(1, s + 1):
@@ -235,7 +238,7 @@ def oracle_ztop(n, s, positions, w, extra_order=0):
             factors.append(wj - wk)
             factors.append(wj * wk * (t * t) - wj * (2 * delta * t) + 1)
     specs = [ResidueSpec(f"w{j}", 1, s - 1) for j in range(1, s + 1)]
-    value = oracle_residue(factors, specs, extra_order=extra_order)
+    value = oracle_residue(factors, specs)
     pref = w.c ** s * w.a ** (s * (n - 1))
     for j in range(1, s + 1):
         pref = pref * t ** (positions[j - 1] - j)
@@ -268,13 +271,16 @@ def assert_exactly(got, want):
 # -- exact weights: equal values -------------------------------------------------
 
 
+# ``extra_order`` widens the oracle's truncation only: a coefficient inside
+# the box does not depend on terms outside it, so both widths must give the
+# value the form reads at its exact orders
 @pytest.mark.parametrize("extra_order", (0, 2))
 @pytest.mark.parametrize("weights", (FF, GEN, HALF), ids=("FF", "GEN", "HALF"))
 def test_efp_kernels_match_the_factor_lists(weights, extra_order):
     with kernel_scope():
         for n, r, s in efp_cases(5, 4):
             for form, oracle in EFP_FORMS:
-                assert_exactly(form(n, r, s, weights, extra_order),
+                assert_exactly(form(n, r, s, weights),
                                oracle(n, r, s, weights, extra_order))
 
 
@@ -284,8 +290,6 @@ def test_zbot_kernel_matches_the_factor_list(weights):
         for n, s, pos in position_sets(4):
             assert_exactly(zbot_contour(n, s, pos, weights),
                            oracle_zbot(n, s, pos, weights))
-            assert_exactly(zbot_contour(n, s, pos, weights, extra_order=1),
-                           oracle_zbot(n, s, pos, weights))
 
 
 @pytest.mark.parametrize("extra_order", (0, 2))
@@ -293,7 +297,7 @@ def test_zbot_kernel_matches_the_factor_list(weights):
 def test_double_kernel_matches_the_factor_list(weights, extra_order):
     with kernel_scope():
         for n, r, s in efp_cases(4, 3):
-            assert_exactly(efp_contour_double(n, r, s, weights, extra_order),
+            assert_exactly(efp_contour_double(n, r, s, weights),
                            oracle_double(n, r, s, weights, extra_order))
 
 
@@ -301,8 +305,6 @@ def test_double_kernel_matches_the_factor_list(weights, extra_order):
 def test_ztop_matches_the_factor_list(weights):
     for n, s, pos in position_sets(4):
         assert_exactly(ztop_contour(n, s, pos, weights),
-                       oracle_ztop(n, s, pos, weights))
-        assert_exactly(ztop_contour(n, s, pos, weights, extra_order=1),
                        oracle_ztop(n, s, pos, weights))
 
 
@@ -358,9 +360,42 @@ def residue_outcome(engine, factors, specs, **kwargs):
 @SETTINGS
 @given(residue_problems(), st.sampled_from((0, 2)))
 def test_residue_engine_matches_the_slice_and_merge_loop(problem, extra_order):
+    # the engine truncates at the targets, the oracle at or above them
     factors, specs = problem
-    got = residue_outcome(iterated_residue, factors, specs, extra_order=extra_order)
+    got = residue_outcome(iterated_residue, factors, specs)
     assert got == residue_outcome(oracle_residue, factors, specs, extra_order=extra_order)
+
+
+# -- the box property: a kernel read below its orders -------------------------------
+
+# each builder, and whether its form reads h(N, s) at z / t
+BUILDERS = {"asym": (correlations._asym_kernel, False),
+            "sym": (correlations._sym_kernel, False),
+            "cauchy": (correlations._cauchy_kernel, True),
+            "zbot": (correlations._zbot_kernel, False),
+            "double": (correlations._double_kernel, True)}
+
+
+@pytest.mark.parametrize("form", BUILDERS)
+@FEW
+@given(triple=TRIPLES, data=st.data())
+def test_a_kernel_read_below_its_orders_gives_the_kernel_built_there(form, triple, data):
+    build, scaled_h = BUILDERS[form]
+    weights = HomogeneousWeights(*triple)
+    s = data.draw(st.integers(1, 3), label="s")
+    args = (data.draw(st.integers(1, 4), label="r"),) if form == "double" else ()
+    width = 2 * s if args else s
+    targets = tuple(data.draw(st.lists(st.integers(0, 4), min_size=width, max_size=width),
+                              label="targets"))
+    orders = tuple(data.draw(st.integers(t, 4), label="order") for t in targets)
+    wide = correlations._kernel(build, weights, orders, *args)
+    narrow = correlations._kernel(build, weights, targets, *args)
+    inside = {e: c for e, c in wide.terms.items() if all(map(le, e, targets))}
+    assert inside == narrow.terms
+    h = sym_generating_poly(data.draw(st.integers(s, 4), label="n"), s, weights)
+    scale = qdiv(1, weights.t) if scaled_h else None
+    assert_exactly(correlations._read_residue(wide, h, targets, scale),
+                   correlations._read_residue(narrow, h, targets, scale))
 
 
 # -- float weights: equal up to rounding -------------------------------------------
