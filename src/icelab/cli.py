@@ -298,30 +298,32 @@ def _suite_generating(run: _Runner, rng: DeterministicRng):
 def _suite_efp(run: _Runner, rng: DeterministicRng):
     cfg = run.config
     efp_enum = functools.cache(lattice.efp_enum)  # shared by four checks
-    for draw, spec, w in run.triples(rng, min(cfg.draws, 4)):
-        for n in range(1, cfg.n_max + 1):
-            for r in range(1, n + 1):
-                for s in range(1, min(r, cfg.s_max) + 1):
-                    for name, fn in (
-                            ("asym_integral", correlations.efp_contour_asym),
-                            ("sym_integral", correlations.efp_contour_sym),
-                            ("cauchy_integral", correlations.efp_contour_cauchy)):
-                        run.check(f"efp.{name}_vs_enum",
+    # r <= n_max: one kernel per form, s and weights, built at order n_max - 1
+    with correlations.kernel_scope(ceiling=cfg.n_max - 1):
+        for draw, spec, w in run.triples(rng, min(cfg.draws, 4)):
+            for n in range(1, cfg.n_max + 1):
+                for r in range(1, n + 1):
+                    for s in range(1, min(r, cfg.s_max) + 1):
+                        for name, fn in (
+                                ("asym_integral", correlations.efp_contour_asym),
+                                ("sym_integral", correlations.efp_contour_sym),
+                                ("cauchy_integral", correlations.efp_contour_cauchy)):
+                            run.check(f"efp.{name}_vs_enum",
+                                      {"draw": draw, "n": n, "r": r, "s": s},
+                                      lambda: (fn(n, r, s, w()), efp_enum(n, r, s, w())))
+            for n in range(1, min(cfg.n_max, 4) + 1):
+                for r in range(1, n + 1):
+                    for s in range(1, min(r, 3, cfg.s_max) + 1):
+                        run.check("efp.double_integral_vs_enum",
                                   {"draw": draw, "n": n, "r": r, "s": s},
-                                  lambda: (fn(n, r, s, w()), efp_enum(n, r, s, w())))
-        for n in range(1, min(cfg.n_max, 4) + 1):
-            for r in range(1, n + 1):
-                for s in range(1, min(r, 3, cfg.s_max) + 1):
-                    run.check("efp.double_integral_vs_enum",
-                              {"draw": draw, "n": n, "r": r, "s": s},
-                              lambda: (correlations.efp_contour_double(n, r, s, w()),
-                                       efp_enum(n, r, s, w())))
-        n = min(cfg.n_max, 4)
-        s = min(2, n, cfg.s_max)
-        run.check("efp.truncation_stability",
-                  {"draw": draw, "n": n, "r": n, "s": s},
-                  lambda: (correlations.efp_contour_sym(n, n, s, w()),
-                           correlations.efp_contour_sym(n, n, s, w(), extra_order=2)))
+                                  lambda: (correlations.efp_contour_double(n, r, s, w()),
+                                           efp_enum(n, r, s, w())))
+            n = min(cfg.n_max, 4)
+            s = min(2, n, cfg.s_max)
+            run.check("efp.truncation_stability",
+                      {"draw": draw, "n": n, "r": n, "s": s},
+                      lambda: (correlations.efp_contour_sym(n, n, s, w()),
+                               correlations.efp_contour_sym(n, n, s, w(), extra_order=2)))
 
     for s in range(1, min(3, cfg.s_max) + 1):
         for r in (2, 3):
@@ -372,28 +374,30 @@ def _suite_rcp(run: _Runner, rng: DeterministicRng):
         return sum(rcp_enum(n, s, lattice.positions_of(st), w)
                    for st in lattice.flux_sector_states(n, s)), ONE
 
-    for draw, spec, w in run.triples(rng, min(cfg.draws, 4)):
-        for n in range(1, n_top + 1):
-            for s in range(n + 1):
-                if s <= cfg.s_max:  # integral cost is bound by s_max
-                    for st in lattice.flux_sector_states(n, s):
-                        pos = lattice.positions_of(st)
-                        params = {"draw": draw, "n": n, "s": s, "pos": pos}
-                        run.check("rcp.bottom_integral_vs_enum", params,
-                                  lambda: (zbot(n, s, pos, w()),
-                                           lattice.z_bot_enum(n, s, pos, w())))
-                        run.check("rcp.top_integral_vs_enum", params,
-                                  lambda: (ztop(n, s, pos, w()),
-                                           lattice.z_top_enum(n, s, pos, w())))
-                        run.check("rcp.cut_product_vs_probability", params,
-                                  lambda: cut_product(n, s, pos, w()))
-                run.check("rcp.completeness", {"draw": draw, "n": n, "s": s},
-                          lambda: completeness(n, s, w()))
-        for pos in ((0, 2), (-1, 1, 2)):
-            run.check("rcp.nonpositive_position_vanishing",
-                      {"draw": draw, "n": n_top, "pos": pos},
-                      lambda: (correlations.zbot_contour(n_top, len(pos), pos, w()),
-                               0 * ONE))
+    # positions p <= n_top: one bottom kernel per s and weights, at order n_top - 1
+    with correlations.kernel_scope(ceiling=n_top - 1):
+        for draw, spec, w in run.triples(rng, min(cfg.draws, 4)):
+            for n in range(1, n_top + 1):
+                for s in range(n + 1):
+                    if s <= cfg.s_max:  # integral cost is bound by s_max
+                        for st in lattice.flux_sector_states(n, s):
+                            pos = lattice.positions_of(st)
+                            params = {"draw": draw, "n": n, "s": s, "pos": pos}
+                            run.check("rcp.bottom_integral_vs_enum", params,
+                                      lambda: (zbot(n, s, pos, w()),
+                                               lattice.z_bot_enum(n, s, pos, w())))
+                            run.check("rcp.top_integral_vs_enum", params,
+                                      lambda: (ztop(n, s, pos, w()),
+                                               lattice.z_top_enum(n, s, pos, w())))
+                            run.check("rcp.cut_product_vs_probability", params,
+                                      lambda: cut_product(n, s, pos, w()))
+                    run.check("rcp.completeness", {"draw": draw, "n": n, "s": s},
+                              lambda: completeness(n, s, w()))
+            for pos in ((0, 2), (-1, 1, 2)):
+                run.check("rcp.nonpositive_position_vanishing",
+                          {"draw": draw, "n": n_top, "pos": pos},
+                          lambda: (correlations.zbot_contour(n_top, len(pos), pos, w()),
+                                   0 * ONE))
 
 
 def _suite_antisym(run: _Runner, rng: DeterministicRng):

@@ -24,14 +24,21 @@ Exact values run on integer numerators with one division at the end, and
 the 1/t rescaling of h(N, s) in the Cauchy and double forms enters the
 sum as t^(-|m|).  Inside ``kernel_scope()``, which ``cli.run`` opens for
 its suites, each kernel K is built once, keyed by its builder, the
-weights, the exact truncation orders and r where K depends on it, and
-read by every (N, r) or position set that needs it.  The scope holds the
-kernels of one weight triple at a time, since the suites finish a triple
-before drawing the next, and it drops them on exit; outside a scope each
-call builds its kernel and drops it.  The top RCP integral and the
-residue-collapse check hand their whole integrand to
-``iterated_residue``, which forms the same product and reads its target
-coefficient.
+weights, its truncation orders and r where K depends on it, and read by
+every (N, r) or position set that needs it.  A scope may declare a
+ceiling, the largest order its block will ask for, as the EFP and RCP
+suites do; it then builds each kernel that takes no r once per form, s
+and weights, at the largest orders the ceiling lets a call read: the
+ceiling in every variable, or up to it by steps of one for the bottom
+RCP kernel, whose positions rise strictly.  With per-variable
+truncation a coefficient inside a box never depends on terms outside it,
+so a kernel built at orders O reads every target T <= O exactly.  The
+scope holds the kernels of one weight triple at a time, since the suites
+finish a triple before drawing the next, and it drops them on exit;
+outside a scope each call builds its kernel at the exact orders and
+drops it.  The top RCP integral and the residue-collapse check hand
+their whole integrand to ``iterated_residue``, which forms the same
+product and reads its target coefficient.
 
 The generating polynomial family entering all the formulas is
 
@@ -59,7 +66,7 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .algebra.field import ONE, common_denominator, qdiv
 from .algebra.poly import Poly, det, vandermonde_value
@@ -300,32 +307,53 @@ def iterated_residue(factors: Sequence, specs: Sequence[ResidueSpec]):
 
 # -- integrand kernels ---------------------------------------------------
 
-_KERNELS: ContextVar[dict | None] = ContextVar("icelab_kernels", default=None)
+class _KernelScope(NamedTuple):
+    memo: dict
+    ceiling: int | None
+
+
+_KERNELS: ContextVar[_KernelScope | None] = ContextVar("icelab_kernels", default=None)
 
 
 @contextmanager
-def kernel_scope():
+def kernel_scope(ceiling: int | None = None):
     """Within the with-block, each integrand kernel is built once and
     reused by every contour call that needs it, until a kernel of other
     weights is built; the kernels are dropped when the outermost scope
-    exits.  Outside a scope every call builds its kernel and drops it."""
-    if _KERNELS.get() is not None:
-        yield
-        return
-    token = _KERNELS.set({})
+    exits.  ``ceiling`` declares the largest truncation order the block
+    will ask for, so that a kernel built at it serves every smaller order
+    (see ``_kernel``); without one each kernel is built at the orders
+    asked for.  An inner scope shares the memo of the outer one and sets
+    only the ceiling, for its own block.  Outside a scope every call
+    builds its kernel and drops it."""
+    outer = _KERNELS.get()
+    token = _KERNELS.set(_KernelScope({} if outer is None else outer.memo, ceiling))
     try:
         yield
     finally:
         _KERNELS.reset(token)
 
 
-def _kernel(build, weights: HomogeneousWeights, orders: tuple, *args) -> TruncatedSeries:
+def _kernel(build, weights: HomogeneousWeights, orders: tuple, *args,
+            increasing: bool = False) -> TruncatedSeries:
     """``build(ring, weights, *args)`` in the ring of z1, z2, ... truncated
     at ``orders``, memoized in the open kernel scope by the builder, the
     weights (whose equality tells exact from float), the orders and
-    ``args``.  The memo keeps one weight triple: holding the kernels of a
-    finished triple would only raise the peak memory of a run."""
-    memo = _KERNELS.get()
+    ``args``.
+
+    Under a ceiling c, a kernel that takes no ``args`` is built at
+    max(order, c) in each variable, so one build serves every order up to
+    the ceiling: ``_read_residue`` reads the wider kernel unchanged.  A
+    kernel read only at strictly ``increasing`` orders, as the bottom RCP
+    kernel is, can be read at no more than c - (s - j) in variable j of
+    s, and is built there instead.  The memo keeps one weight triple:
+    holding the kernels of a finished triple would only raise the peak
+    memory of a run."""
+    memo, ceiling = _KERNELS.get() or (None, None)
+    if ceiling is not None and not args:
+        s = len(orders)
+        orders = tuple(max(order, ceiling - (s - j if increasing else 0))
+                       for j, order in enumerate(orders, 1))
     key = (build, weights, orders, args)
     kernel = None if memo is None else memo.get(key)
     if kernel is None:
@@ -503,12 +531,19 @@ def _sym_kernel(ring: SeriesRing, weights: HomogeneousWeights) -> TruncatedSerie
 def efp_contour_sym(n: int, r: int, s: int, weights: HomogeneousWeights,
                     extra_order: int = 0):
     """EFP as the symmetrized s-fold integral with the s x s partition
-    function and the u-transformed generating polynomial."""
+    function and the u-transformed generating polynomial.
+
+    ``extra_order`` > 0 reads a kernel built that many orders wider than
+    the one the scope serves, apart from the memo, so that the truncation
+    check never compares a kernel with itself."""
     if s == 0:
         return ONE
     if not 1 <= r <= n:
         raise PositionsOutOfRange(f"r={r} outside 1..{n}")
-    kernel = _kernel(_sym_kernel, weights, (r - 1 + extra_order,) * s)
+    kernel = _kernel(_sym_kernel, weights, (r - 1,) * s)
+    if extra_order:
+        wide = tuple(order + extra_order for order in kernel.ring.orders)
+        kernel = _sym_kernel(SeriesRing(kernel.ring.vars, wide), weights)
     value = _read_residue(kernel, sym_generating_poly(n, s, weights), (r - 1,) * s)
     z_s = partition_function(s, weights)
     sign = -1 if (s + s * (s - 1) // 2) % 2 else 1
@@ -640,7 +675,7 @@ def zbot_contour(n: int, s: int, positions: Sequence[int],
         return 0 * ONE
     t = weights.t
     targets = tuple(p - 1 for p in positions)
-    kernel = _kernel(_zbot_kernel, weights, targets)
+    kernel = _kernel(_zbot_kernel, weights, targets, increasing=True)
     value = _read_residue(kernel, sym_generating_poly(n, s, weights), targets)
     pref = partition_function(n, weights)
     pref = qdiv(pref, weights.a ** (s * (n - 1)) * weights.c ** s)

@@ -18,6 +18,7 @@ residues of the one built at the targets.
 
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 from operator import le
 
@@ -36,6 +37,7 @@ from icelab.correlations import (ResidueSpec, efp_contour_asym, efp_contour_cauc
 from icelab.errors import ZeroConstantTerm
 from icelab.lattice import (HomogeneousWeights, flux_sector_states,
                             partition_function, positions_of)
+from test_cli import GATED_WORKLOADS
 from test_generating_oracle import FEW, TRIPLES
 from test_multiply_kernel import SETTINGS
 
@@ -401,11 +403,11 @@ def test_a_kernel_read_below_its_orders_gives_the_kernel_built_there(form, tripl
 # -- float weights: equal up to rounding -------------------------------------------
 
 
-def test_float_kernels_match_the_factor_lists_to_rounding():
+def assert_float_kernels_match_the_factor_lists(scope):
     # the kernel and the oracle round in different orders; the reports
     # judge these values against enumeration at a tolerance of 1e-8
     slack = 2 ** 12 * mpmath.eps
-    with kernel_scope():
+    with scope:
         for n, r, s in efp_cases(4, 3):
             for form, oracle in EFP_FORMS:
                 got = form(n, r, s, FLOATS)
@@ -421,20 +423,32 @@ def test_float_kernels_match_the_factor_lists_to_rounding():
                                oracle(n, s, pos, FLOATS)) <= slack, (contour, pos)
 
 
+def test_float_kernels_match_the_factor_lists_to_rounding():
+    assert_float_kernels_match_the_factor_lists(kernel_scope())
+
+
+def test_float_kernels_built_at_a_ceiling_match_the_factor_lists_to_rounding():
+    # every order asked for is at most 3, so each kernel but the double one
+    # is read below its orders, where it rounds in a product of more terms
+    assert_float_kernels_match_the_factor_lists(kernel_scope(ceiling=4))
+
+
 # -- the kernel scope ------------------------------------------------------------
 
 
 def memo():
-    return correlations._KERNELS.get()
+    scope = correlations._KERNELS.get()
+    return None if scope is None else scope.memo
 
 
-def count_builds(monkeypatch, name: str) -> list:
-    """Record each call of the kernel builder ``name``."""
+def count_builds(monkeypatch, name: str, record=lambda ring, weights: ring.orders) -> list:
+    """Record ``record(ring, weights)`` for each call of the kernel builder
+    ``name``."""
     calls = []
     build = getattr(correlations, name)
 
     def counted(ring, weights, *args):
-        calls.append(ring.orders)
+        calls.append(record(ring, weights))
         return build(ring, weights, *args)
 
     monkeypatch.setattr(correlations, name, counted)
@@ -446,12 +460,12 @@ def test_a_scope_builds_each_kernel_once(monkeypatch):
     with kernel_scope():
         values = [efp_contour_sym(n, 3, 2, GEN) for n in (3, 4, 5)]
         assert builds == [(2, 2)]
-        # keyed by the exact orders: a wider truncation is its own kernel
+        # a wider truncation is its own kernel, built apart from the memo
         assert efp_contour_sym(4, 3, 2, GEN, extra_order=2) == values[1]
         assert builds == [(2, 2), (4, 4)]
         with kernel_scope():   # an inner scope shares the outer memo
             efp_contour_sym(5, 3, 2, GEN)
-        assert len(builds) == 2 and len(memo()) == 2
+        assert len(builds) == 2 and len(memo()) == 1
     assert memo() is None
     assert values == [oracle_sym(n, 3, 2, GEN) for n in (3, 4, 5)]
 
@@ -465,6 +479,94 @@ def test_a_double_kernel_is_keyed_by_r(monkeypatch):
         assert builds == [(1, 2, 1, 1), (2, 3, 1, 1)]
         assert sorted(key[3] for key in memo()) == [(3,), (4,)]
     assert values == [oracle_double(n, 3, 2, GEN) for n in (3, 4)]
+
+
+def test_a_ceiling_builds_each_kernel_once_per_s(monkeypatch):
+    builds = count_builds(monkeypatch, "_asym_kernel")
+    doubles = count_builds(monkeypatch, "_double_kernel")
+    with kernel_scope():
+        with kernel_scope(ceiling=3):
+            values = [efp_contour_asym(4, r, 2, GEN) for r in (2, 3, 4)]
+            assert builds == [(3, 3)]
+            # past the ceiling, the orders asked for win
+            efp_contour_asym(5, 5, 2, GEN)
+            assert builds == [(3, 3), (4, 4)]
+            efp_contour_double(4, 3, 2, GEN)   # keyed by r, never padded
+            assert doubles == [(1, 2, 1, 1)]
+        # the ceiling ends with its block, the memo with the outer scope
+        efp_contour_asym(4, 2, 2, GEN)
+        assert builds == [(3, 3), (4, 4), (1, 1)]
+        assert len(memo()) == 4
+    assert memo() is None
+    assert values == [oracle_asym(4, r, 2, GEN) for r in (2, 3, 4)]
+
+
+def test_a_bottom_kernel_under_a_ceiling_is_built_up_to_its_last_position(monkeypatch):
+    # positions rise strictly up to ceiling + 1, so variable j of s is read
+    # at no more than ceiling - (s - j)
+    builds = count_builds(monkeypatch, "_zbot_kernel")
+    with kernel_scope(ceiling=3):
+        values = [zbot_contour(4, 2, pos, GEN) for pos in ((1, 2), (1, 4), (3, 4))]
+        assert builds == [(2, 3)]
+        zbot_contour(4, 4, (1, 2, 3, 4), GEN)
+        assert builds == [(2, 3), (0, 1, 2, 3)]
+    assert values == [oracle_zbot(4, 2, pos, GEN) for pos in ((1, 2), (1, 4), (3, 4))]
+
+
+def test_the_truncation_stability_check_builds_its_wide_side_apart(monkeypatch):
+    # at n_max = 6 the efp suite's ceiling is 5: the check (n = r = 4, s = 2)
+    # reads the suite's (5, 5) kernel and one built 2 orders wider
+    builds = count_builds(monkeypatch, "_sym_kernel")
+    read, sym = correlations._read_residue, correlations.efp_contour_sym
+    kernels, calls = [], []
+
+    def reading(kernel, *args, **kwargs):
+        kernels.append(kernel)
+        return read(kernel, *args, **kwargs)
+
+    def spy(n, r, s, weights, extra_order=0):
+        before = dict(memo())
+        value = sym(n, r, s, weights, extra_order)
+        calls.append(((n, r, s, extra_order), kernels[-1], before, dict(memo())))
+        return value
+
+    monkeypatch.setattr(correlations, "_read_residue", reading)
+    monkeypatch.setattr(correlations, "efp_contour_sym", spy)
+    code, reports = cli.run(cli.SuiteConfig(suites=("efp",), n_max=6, s_max=2, draws=1))
+    assert code == 0
+    assert [r.status for r in reports if r.check_id == "efp.truncation_stability"] == ["pass"]
+    (args, narrow, _, _), (wide_args, wide, before, after) = calls[-2:]
+    assert (args, wide_args) == ((4, 4, 2, 0), (4, 4, 2, 2))
+    assert wide is not narrow
+    assert all(w > v for w, v in zip(wide.ring.orders, narrow.ring.orders))
+    assert builds == [(5,), (5, 5), (7, 7)]
+    # the wide side neither took a kernel from the memo nor left one there
+    assert after.keys() == before.keys()
+    assert all(after[key] is kernel for key, kernel in before.items())
+    assert narrow in before.values() and wide not in after.values()
+
+
+def test_contour_exact_builds_each_kernel_once_per_s_and_weights(monkeypatch):
+    builds = {name: count_builds(monkeypatch, name,
+                                 record=lambda ring, weights: (weights, ring.orders))
+              for name in ("_asym_kernel", "_sym_kernel", "_cauchy_kernel",
+                           "_zbot_kernel", "_double_kernel")}
+    args = GATED_WORKLOADS["contour-exact"] + ["--backend", "exact", "--seed", "111"]
+    code, _ = cli.run(cli.parse_config(args, env={}))
+    assert code == 0
+    # efp runs r <= 5 (ceiling 4), rcp positions <= 4 (ceiling 3), s <= 4,
+    # each suite on two weight triples
+    for name, orders in (("_asym_kernel", lambda s: (4,) * s),
+                         ("_sym_kernel", lambda s: (4,) * s),
+                         ("_cauchy_kernel", lambda s: (4,) * s),
+                         ("_zbot_kernel", lambda s: tuple(range(4 - s, 4)))):
+        triples = {weights for weights, _ in builds[name]}
+        want = Counter((w, orders(s)) for w in triples for s in range(1, 5))
+        if name == "_sym_kernel":   # the wide side of truncation stability
+            want.update((w, (6, 6)) for w in triples)
+        assert len(triples) == 2 and Counter(builds[name]) == want, name
+    assert len(builds["_double_kernel"]) == 18
+    assert sum(map(len, builds.values())) == 52
 
 
 def test_a_call_outside_a_scope_leaves_no_entry(monkeypatch):
