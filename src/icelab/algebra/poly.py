@@ -276,9 +276,6 @@ class Poly:
             return (self - Poly.const(other)).is_zero()
         return (self - other).is_zero()
 
-    def __hash__(self):  # pragma: no cover - polys are not dict keys
-        raise TypeError("Poly is unhashable")
-
     def __repr__(self):
         if not self.terms:
             return "Poly(0)"

@@ -57,7 +57,7 @@ from .poly import Packing, Poly, sparse_product
 class SeriesRing:
     """A fixed variable tuple with per-variable truncation orders."""
 
-    __slots__ = ("vars", "orders", "packing", "_index", "_drop_cache")
+    __slots__ = ("vars", "orders", "packing", "_index")
 
     def __init__(self, variables: Sequence[str], orders: Sequence[int]):
         if len(variables) != len(orders):
@@ -68,7 +68,6 @@ class SeriesRing:
         self.orders = tuple(orders)
         self.packing = Packing(self.orders, truncate=True)
         self._index = {v: i for i, v in enumerate(self.vars)}
-        self._drop_cache: dict[str, SeriesRing] = {}
 
     def __eq__(self, other):
         return isinstance(other, SeriesRing) and \
@@ -81,13 +80,9 @@ class SeriesRing:
         return self._index[var]
 
     def drop(self, var: str) -> "SeriesRing":
-        sub = self._drop_cache.get(var)
-        if sub is None:
-            i = self.index(var)
-            sub = SeriesRing(self.vars[:i] + self.vars[i + 1:],
-                             self.orders[:i] + self.orders[i + 1:])
-            self._drop_cache[var] = sub
-        return sub
+        i = self.index(var)
+        return SeriesRing(self.vars[:i] + self.vars[i + 1:],
+                          self.orders[:i] + self.orders[i + 1:])
 
     def _field(self, i: int) -> tuple:
         """(shift, mask, shift of the next field) of field i."""
@@ -336,9 +331,6 @@ class TruncatedSeries:
         if isinstance(other, TruncatedSeries):
             return self * other.invert()
         return self * qdiv(1, other)
-
-    def __rtruediv__(self, other):
-        return self.invert() * other
 
     def invert(self) -> "TruncatedSeries":
         """Multiplicative inverse up to the truncation order.

@@ -75,7 +75,7 @@ from .errors import (CoincidingParameters, PoleCollision, PoleHit,
                      PositionsOutOfRange, ZeroConstantTerm)
 from .lattice import (HomogeneousWeights, WeightSpec, backward_vectors,
                       forward_vectors, partition_function,
-                      state_from_positions)
+                      probability_weights, state_from_positions)
 
 
 # -- one-row generating function ---------------------------------------
@@ -112,9 +112,7 @@ def _h_numerators(n: int, weights: WeightSpec) -> tuple:
 
 
 def boundary_generating_fn(n: int, weights: WeightSpec) -> GeneratingFunction:
-    if isinstance(weights, HomogeneousWeights) and weights.exact:
-        weights = weights.integer_scaled()
-    nums, z = _h_numerators(n, weights)
+    nums, z = _h_numerators(n, probability_weights(weights))
     return GeneratingFunction(n, tuple(qdiv(num, z) for num in nums))
 
 
@@ -203,8 +201,7 @@ def sym_generating_poly(n: int, s: int, weights: WeightSpec) -> Poly:
     """
     if not 1 <= s <= n:
         raise PositionsOutOfRange(f"s={s} outside 1..{n}")
-    exact = isinstance(weights, HomogeneousWeights) and weights.exact
-    work = weights.integer_scaled() if exact else weights
+    work = probability_weights(weights)
     width = n + s - 1  # deg g_s = n + s - 2
     rows = []
     denom = 1

@@ -26,7 +26,6 @@ are handled by jets, never by numerical limits.
 
 from __future__ import annotations
 
-import itertools
 import math
 from typing import Sequence
 
@@ -39,8 +38,8 @@ from .algebra.series import SeriesRing, TruncatedSeries
 from .correlations import sym_generating_poly, u_map
 from .errors import (CoincidingParameters, JetOrderInsufficient,
                      NonzeroRemainder, PoleHit)
-from .izergin_korepin import TrigWeights, ik_inhomogeneous
-from .lattice import HomogeneousWeights, partition_function
+from .izergin_korepin import ik_inhomogeneous
+from .lattice import HomogeneousWeights, TrigWeights, partition_function
 
 MAX_DOUBLE_ANTISYM = 6  # C(2s, s) subset-DP states; 6 -> 924
 
@@ -240,7 +239,8 @@ def check_double_antisymmetrization(xs: Sequence, ys: Sequence, tau):
     """The double antisymmetrization identity: the sum over both orderings,
     taken by the subset DP over its C(2s, s) states, equals
     prod (x_j + y_k + tau x_j y_k) times det[psi], exactly."""
-    _check_subset_products(xs, ys)
+    if not subset_products_avoid_one(xs, ys):
+        raise PoleHit("a subset product x_S y_T equals 1")
     return double_antisym_sum(xs, ys, tau), _cauchy_numerator(xs, ys, tau)
 
 
@@ -256,11 +256,6 @@ def subset_products_avoid_one(xs, ys=()) -> bool:
         y_by_size.setdefault(bin(mask).count("1"), []).append(py)
     return all(px * py != 1 for mask, px in enumerate(x_products) if mask
                for py in y_by_size.get(bin(mask).count("1"), ()))
-
-
-def _check_subset_products(xs, ys):
-    if not subset_products_avoid_one(xs, ys):
-        raise PoleHit("a subset product x_S y_T equals 1")
 
 
 # -- trigonometric substitution into the Cauchy ratio --------------------
@@ -385,22 +380,22 @@ def check_confluent_det_vandermonde(t, zs: Sequence):
             num = z ** k - ((1 + t * t) * z - 1) ** k
             row.append((1 - z) ** (s - k) * qdiv(num, den))
         matrix.append(row)
-    rhs = vandermonde_value(zs)
-    for j in range(1, s + 1):
-        rhs = rhs * qdiv(1 - t ** (2 * j), 1 - t * t)
-    return det(matrix), rhs
+    return det(matrix), vandermonde_value(zs) * _vandermonde_constant(t, s)
 
 
 def check_scaled_vandermonde_antisym(t, eps: Sequence):
     """Antisymmetrizing prod_{j<k} (e_j - t^2 e_k) gives the Vandermonde
     scaled by prod (1 - t^{2j})/(1 - t^2), exactly."""
-    s = len(eps)
-    rhs = ONE
-    for j, k in itertools.combinations(range(s), 2):
-        rhs = rhs * (eps[j] - eps[k])
-    for j in range(1, s + 1):
-        rhs = rhs * qdiv(1 - t ** (2 * j), 1 - t * t)
+    rhs = vandermonde_value(eps[::-1]) * _vandermonde_constant(t, len(eps))
     return _scaled_vandermonde_lhs(t, eps), rhs
+
+
+def _vandermonde_constant(t, s: int):
+    """prod_{j=1..s} (1 - t^{2j}) / (1 - t^2)."""
+    value = ONE
+    for j in range(1, s + 1):
+        value = value * qdiv(1 - t ** (2 * j), 1 - t * t)
+    return value
 
 
 def _scaled_vandermonde_lhs(t, eps: Sequence):
@@ -438,9 +433,7 @@ def _asep_rhs(p, zs: Sequence):
         if z == 1:
             raise PoleHit("z = 1 is not admissible")
         rhs = qdiv(rhs, 1 - z)
-    for j, k in itertools.combinations(range(s), 2):
-        rhs = rhs * (zs[j] - zs[k])
-    return rhs
+    return rhs * vandermonde_value(zs[::-1])
 
 
 def check_asep_antisymmetrization(p, zs: Sequence):
@@ -486,15 +479,11 @@ def check_degeneration_to_asep(p, zs: Sequence, extra_order: int = 1):
 
     # the limit equals the confluent Cauchy ratio times V(z) reversed
     confluent = cauchy_ratio_confluent(xs, qdiv(1, t), tau)
-    v_rev = ONE
-    for j, k in itertools.combinations(range(s), 2):
-        v_rev = v_rev * (zs[j] - zs[k])
 
     # and, scaled by p^{s(s-1)/2} over the Vandermonde constant, both
     # sides of the exclusion-process relation
-    factor = qdiv(1, t ** (s * (s - 1)))
-    for j in range(1, s + 1):
-        factor = factor * qdiv(1 - t ** (2 * j), 1 - t * t)
+    factor = qdiv(1, t ** (s * (s - 1))) * _vandermonde_constant(t, s)
     scaled = qdiv(limit * p ** (s * (s - 1) // 2), factor)
     lhs_tw = _asep_lhs(p, zs)
-    return (scaled, limit, lhs_tw), (lhs_tw, confluent * v_rev, _asep_rhs(p, zs))
+    return ((scaled, limit, lhs_tw),
+            (lhs_tw, confluent * vandermonde_value(zs[::-1]), _asep_rhs(p, zs)))

@@ -6,54 +6,21 @@ one replaces the matrix by the tower of derivatives of phi(., 0), which
 is produced here by jet arithmetic rather than symbolic differentiation.
 All functions in this module work in the float backend (the entries are
 sines of free parameters); callers choose the working precision with
-``icelab.algebra.float_precision``.
+``icelab.algebra.float_precision``.  The weight functions come from
+``lattice.TrigWeights``, which this module re-exports.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import mpmath
 
 from .algebra.series import SeriesRing, series_sin, jet_derivative
 from .errors import CoincidingParameters, PoleInPhi
-from .lattice import InhomogeneousWeights, partition_function
-
-
-@dataclass(frozen=True)
-class TrigWeights:
-    """The trigonometric weight functions at crossing parameter eta."""
-
-    eta: object
-
-    def a(self, lam, nu):
-        return mpmath.sin(lam - nu + self.eta)
-
-    def b(self, lam, nu):
-        return mpmath.sin(lam - nu - self.eta)
-
-    def c(self):
-        return mpmath.sin(2 * self.eta)
-
-    def d(self, lam, lam2):
-        return mpmath.sin(lam - lam2)
-
-    def e(self, lam, lam2):
-        return mpmath.sin(lam - lam2 + 2 * self.eta)
-
-    def phi(self, lam, nu):
-        a = self.a(lam, nu)
-        b = self.b(lam, nu)
-        if a == 0 or b == 0:
-            raise PoleInPhi(f"a or b vanishes at ({lam}, {nu})")
-        return self.c() / (a * b)
-
-    def gamma(self, xi, lam):
-        """The boundary variable change; gamma(0, lam) == 1 identically."""
-        return (self.a(lam, 0) * self.b(lam + xi, 0)) / \
-            (self.b(lam, 0) * self.a(lam + xi, 0))
+from .lattice import (InhomogeneousWeights, TrigWeights, partition_function,
+                      weights_from_trig)
 
 
 def ik_inhomogeneous(lambdas: Sequence, nus: Sequence, eta):
@@ -101,14 +68,15 @@ def phi_jet(lam, eta, order: int):
     den = series_sin(x + eta) * series_sin(x - eta)
     if den.constant_term() == 0:
         raise PoleInPhi(f"a or b vanishes at lambda={lam}")
-    return den.invert() * mpmath.sin(2 * eta)
+    return den.invert() * TrigWeights(eta).c()
 
 
 def ik_homogeneous(lam, eta, n: int):
     """Z_N of the homogeneous model: (ab)^(N^2) / prod (j!)^2 times the
     determinant of the derivative tower phi^(j+k-2)."""
-    a = mpmath.sin(lam + eta)
-    b = mpmath.sin(lam - eta)
+    w = TrigWeights(eta)
+    a = w.a(lam, 0)
+    b = w.b(lam, 0)
     if a == 0 or b == 0:
         raise PoleInPhi(f"a or b vanishes at lambda={lam}")
     jet = phi_jet(lam, eta, 2 * n - 2)
@@ -142,8 +110,6 @@ def partial_inhomogeneous_relation(lambdas: Sequence, lam0, eta):
     gammas = tuple(w.gamma(lam - lam0, lam0) for lam in lambdas)
     if len(set(gammas)) != n:
         raise CoincidingParameters("gamma values coincide; redraw lambdas")
-    from .lattice import weights_from_trig
-
     hom = weights_from_trig(lam0, eta)
     rhs = ik_homogeneous(lam0, eta, n)
     a0 = w.a(lam0, 0)

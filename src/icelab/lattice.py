@@ -31,6 +31,9 @@ pair.  Exact homogeneous weights fold on integers and are divided once
 at the end; any other weights multiply their vertex values in the order
 a right-to-left scan of the line uses, so float results are the same as
 a scan of every pair of states gives.
+
+The trigonometric weights are defined once, in ``TrigWeights``, which the
+inhomogeneous weights, ``weights_from_trig`` and ``izergin_korepin`` read.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ from typing import Iterator, Sequence, Union
 import mpmath
 
 from .algebra.field import integer_numerators, is_exact, qdiv, rational
-from .errors import (DegenerateWeights, CoincidingParameters,
+from .errors import (DegenerateWeights, CoincidingParameters, PoleInPhi,
                      PositionsOutOfRange, WidthMismatch)
 
 RowState = tuple  # tuple of bools, True = up arrow, index i = position i+1
@@ -57,6 +60,40 @@ VERTEX_TYPE = {
     (True, False, False, True): "c",
     (False, True, True, False): "c",
 }
+
+
+@dataclass(frozen=True)
+class TrigWeights:
+    """The trigonometric weight functions at crossing parameter eta."""
+
+    eta: object
+
+    def a(self, lam, nu):
+        return mpmath.sin(lam - nu + self.eta)
+
+    def b(self, lam, nu):
+        return mpmath.sin(lam - nu - self.eta)
+
+    def c(self):
+        return mpmath.sin(2 * self.eta)
+
+    def d(self, lam, lam2):
+        return mpmath.sin(lam - lam2)
+
+    def e(self, lam, lam2):
+        return mpmath.sin(lam - lam2 + 2 * self.eta)
+
+    def phi(self, lam, nu):
+        a = self.a(lam, nu)
+        b = self.b(lam, nu)
+        if a == 0 or b == 0:
+            raise PoleInPhi(f"a or b vanishes at ({lam}, {nu})")
+        return self.c() / (a * b)
+
+    def gamma(self, xi, lam):
+        """The boundary variable change; gamma(0, lam) == 1 identically."""
+        return (self.a(lam, 0) * self.b(lam + xi, 0)) / \
+            (self.b(lam, 0) * self.a(lam + xi, 0))
 
 
 @dataclass(frozen=True)
@@ -139,22 +176,20 @@ class InhomogeneousWeights:
         return False
 
     def vertex(self, letter: str, row: int, position: int):
-        lam = self.lambdas[position - 1]
-        nu = self.nus[row - 1]
-        if letter == "a":
-            return mpmath.sin(lam - nu + self.eta)
-        if letter == "b":
-            return mpmath.sin(lam - nu - self.eta)
-        return mpmath.sin(2 * self.eta)
+        w = TrigWeights(self.eta)
+        if letter == "c":
+            return w.c()
+        return getattr(w, letter)(self.lambdas[position - 1], self.nus[row - 1])
 
 
 WeightSpec = Union[HomogeneousWeights, InhomogeneousWeights]
 
 
 def weights_from_trig(lam, eta) -> HomogeneousWeights:
-    """Homogeneous float weights a=sin(lam+eta), b=sin(lam-eta), c=sin 2 eta."""
-    return HomogeneousWeights(mpmath.sin(lam + eta), mpmath.sin(lam - eta),
-                              mpmath.sin(2 * eta))
+    """Homogeneous float weights a=sin(lam+eta), b=sin(lam-eta), c=sin 2 eta:
+    the trigonometric weights at nu = 0."""
+    w = TrigWeights(eta)
+    return HomogeneousWeights(w.a(lam, 0), w.b(lam, 0), w.c())
 
 
 # -- row states ------------------------------------------------------
@@ -418,7 +453,7 @@ def z_bot_enum(n: int, s: int, positions: Sequence[int], weights: WeightSpec):
     return backward_vectors(n, weights)[s].get(state, 0)
 
 
-def _probability_weights(weights: WeightSpec) -> WeightSpec:
+def probability_weights(weights: WeightSpec) -> WeightSpec:
     # probabilities are invariant under rescaling (a,b,c).  The fold clears
     # the denominators of exact weights on its own, so this no longer makes
     # the arithmetic integral; it is kept because leaving it out (with
@@ -432,7 +467,7 @@ def _probability_weights(weights: WeightSpec) -> WeightSpec:
 def rcp_enum(n: int, s: int, positions: Sequence[int], weights: WeightSpec):
     """Probability of the arrow pattern `positions` on the vertical edges
     between horizontal lines s and s+1."""
-    w = _probability_weights(weights)
+    w = probability_weights(weights)
     num = z_top_enum(n, s, positions, w) * z_bot_enum(n, s, positions, w)
     return qdiv(num, partition_function(n, w))
 
@@ -451,7 +486,7 @@ def efp_enum(n: int, r: int, s: int, weights: WeightSpec):
         raise PositionsOutOfRange(f"r={r} outside 1..{n}")
     if not 0 <= s <= n:
         raise PositionsOutOfRange(f"s={s} outside 0..{n}")
-    w = _probability_weights(weights)
+    w = probability_weights(weights)
     fwd = forward_vectors(n, w)[s]
     bwd = backward_vectors(n, w)[s]
     z = partition_function(n, w)
@@ -522,17 +557,21 @@ def _row_assignments(n: int, above: RowState) -> Iterator[tuple]:
         yield letters, below
 
 
-def brute_force_partition(n: int, weights: WeightSpec):
-    """Sum of configuration weights over the explicit enumeration."""
-    total = 0
-    for letters, _ in dwbc_configurations(n):
+def _configuration_weights(n: int, weights: WeightSpec) -> Iterator[tuple]:
+    """(weight, vertical_edges) of every DWBC configuration, the weight the
+    product of its vertex weights in the order ``letters`` lists them."""
+    for letters, vert in dwbc_configurations(n):
         w = None
         for k, row in enumerate(letters, start=1):
             for col, letter in enumerate(row):
                 x = weights.vertex(letter, k, n - col)
                 w = x if w is None else w * x
-        total = total + w
-    return total
+        yield w, vert
+
+
+def brute_force_partition(n: int, weights: WeightSpec):
+    """Sum of configuration weights over the explicit enumeration."""
+    return sum(w for w, _ in _configuration_weights(n, weights))
 
 
 def brute_force_rcp(n: int, s: int, positions: Sequence[int], weights: WeightSpec):
@@ -541,12 +580,7 @@ def brute_force_rcp(n: int, s: int, positions: Sequence[int], weights: WeightSpe
     target = state_from_positions(n, positions)
     matched = 0
     total = 0
-    for letters, vert in dwbc_configurations(n):
-        w = None
-        for k, row in enumerate(letters, start=1):
-            for col, letter in enumerate(row):
-                x = weights.vertex(letter, k, n - col)
-                w = x if w is None else w * x
+    for w, vert in _configuration_weights(n, weights):
         total = total + w
         if vert[s] == target:
             matched = matched + w

@@ -13,7 +13,7 @@ a given seed can be reproduced by any implementation:
 * ``uniform(a, b)`` = a + (b - a) * (state >> 11) / 2^53  after one step.
 
 Draws that violate a pole or distinctness predicate are rejected and
-logged; more than 1000 rejections for a single draw is an error.
+logged; the 1000th rejection of a single draw is an error.
 """
 
 from __future__ import annotations
@@ -33,6 +33,8 @@ log = logging.getLogger(__name__)
 _MULT = 6364136223846793005
 _INC = 1442695040888963407
 _MASK = (1 << 64) - 1
+_BOUND = 50        # numerators and denominators of ``rational()``
+_MAX_TRIES = 1000  # tries for one admissible draw
 
 
 class DeterministicRng:
@@ -48,25 +50,24 @@ class DeterministicRng:
     def below(self, n: int) -> int:
         return (self.next_u64() >> 33) % n
 
-    def rational(self, bound: int = 50):
+    def rational(self):
         """Reduced positive rational with numerator and denominator
-        uniform in 1..bound."""
-        return rational(1 + self.below(bound), 1 + self.below(bound))
+        uniform in 1..50."""
+        return rational(1 + self.below(_BOUND), 1 + self.below(_BOUND))
 
     def uniform(self, lo, hi):
         frac = mpmath.mpf(self.next_u64() >> 11) / mpmath.mpf(1 << 53)
         return lo + (hi - lo) * frac
 
-    def sample_until(self, draw: Callable, accept: Callable, what: str = "draw",
-                     max_tries: int = 1000):
-        for attempt in range(max_tries):
+    def sample_until(self, draw: Callable, accept: Callable, what: str = "draw"):
+        for attempt in range(_MAX_TRIES):
             value = draw()
             if accept(value):
                 if attempt:
                     log.debug("%s accepted after %d rejections", what, attempt)
                 return value
             log.debug("%s rejected (attempt %d)", what, attempt + 1)
-        raise SamplingExhausted(f"no admissible {what} in {max_tries} tries")
+        raise SamplingExhausted(f"no admissible {what} in {_MAX_TRIES} tries")
 
 
 def weight_triple(rng: DeterministicRng) -> HomogeneousWeights:
@@ -103,16 +104,13 @@ def distinct_rationals(rng: DeterministicRng, count: int,
     admissibility predicates."""
     values: list = []
 
-    def draw():
-        return rng.rational()
-
     def accept(v):
         return v not in values and (accept_each is None or accept_each(v))
 
     def make():
         values.clear()
         for _ in range(count):
-            values.append(rng.sample_until(draw, accept, "rational value"))
+            values.append(rng.sample_until(rng.rational, accept, "rational value"))
         return tuple(values)
 
     if accept_tuple is None:
@@ -177,11 +175,7 @@ def trig_parameters(rng: DeterministicRng, s: int, *, with_zeta: bool = False):
 def asep_parameters(rng: DeterministicRng, s: int):
     """(p, z_1..z_s) with q/p a perfect rational square (t rational) and
     all subset products of the z's away from 1."""
-
-    def draw_t():
-        return rng.rational()
-
-    t = rng.sample_until(draw_t, lambda v: v != 1, "rational t")
+    t = rng.sample_until(rng.rational, lambda v: v != 1, "rational t")
     p = rational(1) / (1 + t * t)
 
     zs = distinct_rationals(rng, s, accept_each=lambda v: v != 1,

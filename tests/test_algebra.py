@@ -9,7 +9,7 @@ from icelab.algebra import (Poly, SeriesRing, antisymmetrize, det, jet_derivativ
                             parity, poly_exact_div, rational, rel_err, series_sin,
                             vandermonde, vandermonde_value)
 from icelab.algebra.field import common_denominator, is_exact
-from icelab.errors import NonzeroRemainder, ZeroConstantTerm
+from icelab.errors import NonzeroRemainder, SamplingExhausted, ZeroConstantTerm
 from icelab.sampling import DeterministicRng
 from test_helper_oracles import signed_permutations
 
@@ -36,6 +36,14 @@ def test_rational_normalization():
     x = Q(4, 8)
     assert x.numerator == 1 and x.denominator == 2
     assert Q(3, -6).denominator > 0
+
+
+def test_a_draw_is_given_up_at_its_1000th_rejection():
+    rng = DeterministicRng(1)
+    draws = []
+    with pytest.raises(SamplingExhausted, match="in 1000 tries"):
+        rng.sample_until(lambda: draws.append(rng.rational()), lambda v: False)
+    assert len(draws) == 1000
 
 
 @pytest.mark.parametrize("x, exact", ((3, True), (Q(2, 3), True), (True, False),

@@ -67,6 +67,13 @@ def test_inhomogeneous_pole_in_phi():
                          mpmath.mpf("0.25"))
 
 
+def test_homogeneous_pole_in_phi():
+    # binary-exact lambda == eta makes b = sin(lambda - eta) vanish; the
+    # guard raises PoleInPhi, not the DegenerateWeights of weights_from_trig
+    with pytest.raises(PoleInPhi):
+        ik_homogeneous(mpmath.mpf("0.25"), mpmath.mpf("0.25"), 2)
+
+
 def test_homogeneous_single_site():
     lam = mpmath.mpf("0.7")
     assert abs(ik_homogeneous(lam, ETA, 1) - mpmath.sin(2 * ETA)) \

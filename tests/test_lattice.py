@@ -10,14 +10,15 @@ from icelab.algebra import rational as Q
 from icelab.errors import (CoincidingParameters, DegenerateWeights,
                            PositionsOutOfRange, WidthMismatch)
 from icelab.lattice import (HomogeneousWeights, InhomogeneousWeights,
-                            VERTEX_TYPE, all_down, all_up,
+                            TrigWeights, VERTEX_TYPE, all_down, all_up,
                             boundary_correlation, brute_force_partition,
                             brute_force_rcp, dwbc_configurations, efp_enum,
                             backward_vectors, flux_sector_states,
                             forward_vectors, partition_function,
                             partition_function_bottom_up, positions_of,
-                            rcp_enum, skeleton, state_from_positions,
-                            weights_from_trig, z_bot_enum, z_top_enum)
+                            probability_weights, rcp_enum, skeleton,
+                            state_from_positions, weights_from_trig,
+                            z_bot_enum, z_top_enum)
 from icelab.sampling import DeterministicRng, weight_triple
 
 FF = HomogeneousWeights(Q(3), Q(4), Q(5))   # free-fermion point
@@ -269,6 +270,37 @@ def test_inhomogeneous_parameter_symmetry():
     assert abs(z - z_nu) / abs(z) < mpmath.mpf("1e-9")
     with pytest.raises(CoincidingParameters):
         InhomogeneousWeights((lams[0], lams[0], lams[2]), nus, eta)
+
+
+def test_every_trig_weight_is_the_one_trig_weights_gives():
+    # bit for bit: homogeneous weights are the trigonometric ones at nu = 0,
+    # where lam - 0 is exact, so a = sin(lam + eta) as before
+    eta = mpmath.mpf("0.3")
+    w = TrigWeights(eta)
+    rng = DeterministicRng(5)
+    lams = tuple(rng.uniform(mpmath.mpf("0.95"), mpmath.mpf("2.0")) for _ in range(6))
+    nus = (mpmath.mpf(0),) + tuple(rng.uniform(mpmath.mpf("-0.3"), mpmath.mpf("0.3"))
+                                   for _ in range(5))
+    for lam in lams:
+        hom = weights_from_trig(lam, eta)
+        assert (hom.a, hom.b, hom.c) == (w.a(lam, 0), w.b(lam, 0), w.c())
+        assert (hom.a, hom.b) == (mpmath.sin(lam + eta), mpmath.sin(lam - eta))
+    inh = InhomogeneousWeights(lams, nus, eta)
+    for row, nu in enumerate(nus, start=1):
+        for position, lam in enumerate(lams, start=1):
+            assert [inh.vertex(x, row, position) for x in "abc"] == \
+                [w.a(lam, nu), w.b(lam, nu), w.c()]
+
+
+def test_probability_weights_integer_scale_only_exact_homogeneous_weights():
+    scaled = probability_weights(HomogeneousWeights(Q(1, 2), Q(2, 3), Q(5, 4)))
+    assert all(type(x) is int for x in (scaled.a, scaled.b, scaled.c))
+    assert (Q(scaled.b, scaled.a), Q(scaled.c, scaled.a)) == (Q(4, 3), Q(5, 2))
+    floats = HomogeneousWeights(mpmath.mpf("0.5"), mpmath.mpf(2), mpmath.mpf(3))
+    spread = InhomogeneousWeights((mpmath.mpf(1), mpmath.mpf(2)), (0, 0),
+                                  mpmath.mpf("0.3"))
+    assert probability_weights(floats) is floats
+    assert probability_weights(spread) is spread
 
 
 def test_inhomogeneous_reduces_to_homogeneous_weights():

@@ -4,7 +4,10 @@
 
 The parent tree is the committed tree of ``--base`` (default ``HEAD``),
 extracted with ``git archive BASE | tar -x`` into a new temporary
-directory; the change is the working tree this script sits in.  For each
+directory.  The change is the working tree this script sits in, copied
+into a second temporary directory: the files that ``git ls-files --cached
+--others --exclude-standard`` lists, so that neither side runs beside
+caches or ignored files and both are laid out alike.  For each
 gated workload of ``BENCHMARK.json``, and for contour-float, which
 perfbench runs by name only, pair i of ten runs ``perfbench/run.py``
 once from each tree with seed ``--seed + i`` and the benchmark's
@@ -19,7 +22,7 @@ for neither side).  An end-to-end metric improves in the direction that
 ``BENCHMARK.json`` declares.  A run whose correctness gate failed
 (``"correct": false``) is still measured, but each workload records how
 many runs failed on each side, and the script then exits with status 1.
-The temporary parent tree is removed however the script ends.
+Both temporary trees are removed however the script ends.
 """
 
 from __future__ import annotations
@@ -41,19 +44,30 @@ UNGATED = ("contour-float",)   # the float path; perfbench runs it by name
 
 
 def extract(base: str) -> tuple:
-    """(directory, commit): the committed tree of ``base``, written into a
-    new temporary directory, and the commit it names."""
+    """(parent, change, commit): the committed tree of ``base`` and a copy of
+    the working tree, each written into a new temporary directory, and the
+    commit that ``base`` names."""
     rev = subprocess.run(["git", "rev-parse", base], cwd=ROOT, check=True,
                          capture_output=True, text=True).stdout.strip()
     parent_dir = Path(tempfile.mkdtemp(prefix="icelab-parent-"))
+    change_dir = Path(tempfile.mkdtemp(prefix="icelab-change-"))
     try:
         archive = subprocess.run(["git", "archive", rev], cwd=ROOT, check=True,
                                  capture_output=True).stdout
         subprocess.run(["tar", "-x", "-C", str(parent_dir)], input=archive, check=True)
+        listed = subprocess.run(
+            ["git", "ls-files", "-z", "--cached", "--others", "--exclude-standard"],
+            cwd=ROOT, check=True, capture_output=True, text=True).stdout
+        for name in filter(None, listed.split("\0")):
+            source = ROOT / name
+            if source.exists():   # a tracked file deleted in the working tree
+                (change_dir / name).parent.mkdir(parents=True, exist_ok=True)
+                shutil.copy2(source, change_dir / name)
     except BaseException:
         shutil.rmtree(parent_dir, ignore_errors=True)
+        shutil.rmtree(change_dir, ignore_errors=True)
         raise
-    return parent_dir, rev
+    return parent_dir, change_dir, rev
 
 
 def bench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -76,13 +90,15 @@ def summary(values: list) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def run_pairs(parent: Path, base_rev: str, spec: dict, seed: int, out_path: Path) -> int:
+def run_pairs(parent: Path, change: Path, base_rev: str, spec: dict, seed: int,
+              out_path: Path) -> int:
     """Run the pairs of every workload, rewriting ``out_path`` after each
     workload; the number of runs whose correctness gate failed."""
     metrics = {m["name"]: m["better"] for m in spec["end_to_end"]}
     gated = [w["name"] for w in spec["workloads"]]
     failed = 0
-    out = {"about": "Alternating perfbench pairs, parent tree against working tree; "
+    out = {"about": "Alternating perfbench pairs, parent tree against a copy of the "
+                    "working tree; "
                     "see tools/bench_pairs.py.",
            "parent": base_rev,
            "machine": {"cpus": os.cpu_count(), "python": platform.python_version(),
@@ -95,7 +111,7 @@ def run_pairs(parent: Path, base_rev: str, spec: dict, seed: int, out_path: Path
             pair_seed = seed + i
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             for side in order:
-                tree = parent if side == "parent" else ROOT
+                tree = parent if side == "parent" else change
                 runs[side].append(bench(tree, workload, pair_seed, spec["run_seconds"]))
                 print(f"{workload} pair {i} {side}: "
                       + " ".join(f"{m}={runs[side][-1][m]:.4g}" for m in metrics),
@@ -127,11 +143,12 @@ def main(argv=None) -> int:
     ns = parser.parse_args(argv)
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    parent, base_rev = extract(ns.base)
+    parent, change, base_rev = extract(ns.base)
     try:
-        failed = run_pairs(parent, base_rev, spec, ns.seed, ns.out)
+        failed = run_pairs(parent, change, base_rev, spec, ns.seed, ns.out)
     finally:
         shutil.rmtree(parent, ignore_errors=True)
+        shutil.rmtree(change, ignore_errors=True)
     if failed:
         print(f"{failed} runs failed their correctness gate; see failed_runs in "
               f"{ns.out}", file=sys.stderr)
