@@ -159,7 +159,7 @@ class _Runner:
                 tolerance=self.config.tolerance)
         except Exception as exc:  # never crash the runner
             report = CheckReport.from_error(check_id, params, exc)
-        report.elapsed_ms = int(1000 * (time.monotonic() - start))
+        report.elapsed_ms = 1000 * (time.monotonic() - start)
         self.reports.append(report)
 
     def triples(self, rng: DeterministicRng, count: int):
@@ -540,11 +540,12 @@ def summarize(reports) -> str:
         group = by_suite[suite]
         counts = "".join(f" {sum(r.status == s for r in group):>7}" for s in STATUSES)
         ms = sum(r.elapsed_ms for r in group)
-        lines.append(f"{suite:<14}{counts} {ms:>8}")
+        lines.append(f"{suite:<14}{counts} {ms:>8.0f}")
     for rep in reports:
         if not rep.passed:
             lines.append(f"{rep.status.upper()} {rep.check_id} {rep.params}: "
-                         f"lhs={rep.lhs} rhs={rep.rhs} disc={rep.discrepancy}")
+                         f"lhs={rep.lhs} rhs={rep.rhs} disc={rep.discrepancy}"
+                         + (f" at {rep.origin}" if rep.origin else ""))
     return "\n".join(lines)
 
 

@@ -15,11 +15,14 @@ Float polynomials compare by their largest relative coefficient error.
 ``guarded`` for an ``IcelabError`` (a pole, degenerate weights or another
 condition that icelab guards against) and ``error`` for any other
 exception, an internal bug.  A comparison that comes out false is
-``fail``.
+``fail``.  An ``error`` report also keeps the frame that raised, as
+``origin``; like ``elapsed_ms`` it stays out of the JSON record.
 """
 
 from __future__ import annotations
 
+import os
+import traceback
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -56,6 +59,15 @@ def _render(value) -> str:
         return repr(value)  # polynomials and other structured values
 
 
+def _origin(exc: Exception) -> str:
+    """Where ``exc`` was raised: "file:line in function" of its innermost frame."""
+    frames = traceback.extract_tb(exc.__traceback__)
+    if not frames:
+        return ""
+    last = frames[-1]
+    return f"{os.path.basename(last.filename)}:{last.lineno} in {last.name}"
+
+
 @dataclass
 class CheckReport:
     check_id: str
@@ -64,7 +76,8 @@ class CheckReport:
     lhs: str
     rhs: str
     discrepancy: str       # "0" when exactly equal, else max relative error
-    elapsed_ms: int = 0
+    elapsed_ms: float = 0.0
+    origin: str = ""       # for an ``error``: "file:line in function" that raised
 
     @property
     def passed(self) -> bool:
@@ -98,19 +111,22 @@ class CheckReport:
     @staticmethod
     def from_error(check_id: str, params: Mapping, exc: Exception) -> "CheckReport":
         """A check that raised: ``guarded`` for a condition that icelab
-        guards against (an ``IcelabError``), ``error`` for any other."""
+        guards against (an ``IcelabError``), ``error`` for any other; an
+        ``error`` keeps the innermost frame of its traceback."""
+        guarded = isinstance(exc, IcelabError)
         return CheckReport(
             check_id=check_id,
             params={k: _render(v) for k, v in params.items()},
-            status="guarded" if isinstance(exc, IcelabError) else "error",
+            status="guarded" if guarded else "error",
             lhs="error",
             rhs="error",
             discrepancy=f"{type(exc).__name__}: {exc}",
+            origin="" if guarded else _origin(exc),
         )
 
     def to_json_obj(self) -> dict:
-        """The report record without its timing, so that the same
-        configuration and seed give a byte-identical report."""
+        """The report record without its timing or origin, so that the
+        same configuration and seed give a byte-identical report."""
         return {
             "check_id": self.check_id,
             "params": self.params,

@@ -1,6 +1,7 @@
 """Suite runner: configuration, determinism, exit codes."""
 
 import hashlib
+import itertools
 import json
 import time
 
@@ -266,6 +267,16 @@ def test_each_report_carries_its_own_time(monkeypatch):
     assert all(r.elapsed_ms >= 20 for r in timed), [r.elapsed_ms for r in timed]
 
 
+def test_summary_times_add_up_over_checks_shorter_than_a_millisecond(monkeypatch):
+    ticks = itertools.count()
+    monkeypatch.setattr(time, "monotonic", lambda: 0.0009 * next(ticks))
+    _, reports = run(SuiteConfig(suites=("boundary",), n_max=3, s_max=3, draws=1))
+    total = 0.9 * len(reports)  # each check reads the clock twice: 0.9 ms apart
+    assert sum(r.elapsed_ms for r in reports) == pytest.approx(total)
+    row = summarize(reports).splitlines()[1].split()
+    assert (row[0], int(row[-1])) == ("boundary", round(total))
+
+
 def _keyed(reports):
     return [(r.check_id, r.params) for r in reports]
 
@@ -294,6 +305,24 @@ def test_an_enumeration_error_is_reported_by_each_check_that_needs_it(monkeypatc
         "efp.asym_integral_vs_enum", "efp.sym_integral_vs_enum",
         "efp.cauchy_integral_vs_enum", "efp.double_integral_vs_enum"}
     assert any(r.check_id == "efp.truncation_stability" for r in reports)
+
+
+def test_an_error_report_says_where_it_was_raised_outside_the_json(monkeypatch, tmp_path):
+    path = tmp_path / "report.json"
+    _raising(monkeypatch, lattice, "efp_enum", ValueError("boom"))
+    _, reports = run(SuiteConfig(suites=("efp",), n_max=2, s_max=2, draws=1,
+                                 output_path=str(path)))
+    errors = [line for line in summarize(reports).splitlines()
+              if line.startswith("ERROR")]
+    assert errors and all(line.endswith(" in broken") for line in errors), errors
+    assert all("test_cli.py:" in line for line in errors)
+    # the bytes this run wrote before error reports kept their origin
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == \
+        "e91f58d72f8787f908289a058e52e71c5c9121dde621684863796286301be7ee"
+    try:
+        raise PoleHit("pole")
+    except PoleHit as exc:
+        assert CheckReport.from_error("x.pole", {}, exc).origin == ""
 
 
 def test_a_top_contour_error_spares_the_other_rcp_checks(monkeypatch):
