@@ -14,15 +14,51 @@ clears their denominators (``common_denominator``, ``integer_numerators``)
 for the integer multiply kernels of ``poly`` and ``series``.
 Polynomials and truncated series are generic over the coefficient type;
 everything else here is duck-typed arithmetic plus a few helpers.
+
+It also holds the package's one ``mpmath`` binding, which every other
+module imports from here.  The binding imports the real module on its
+first attribute use, so a run that never computes in floats never loads
+mpmath.  ``float_precision`` sets the working precision whether or not
+mpmath is loaded yet: mpmath first loaded inside a block starts at the
+innermost block's precision, and each block restores the enclosing one
+as it exits.  ``load_mpmath`` imports it up front, for configurations
+that will compute in floats.
 """
 
 from __future__ import annotations
 
 import math
+import sys
+import types
+from contextlib import contextmanager
 from fractions import Fraction
 from typing import Mapping
 
-import mpmath
+_DEFAULT_BITS = 53   # mpmath's working precision when it is imported
+_block_bits = None   # the innermost open ``float_precision`` block's precision
+
+
+def _load_mpmath(name):
+    """The ``__getattr__`` of the binding below, until its first call:
+    import mpmath at the precision of the innermost open ``float_precision``
+    block and make the binding a copy of the module, so that a later lookup
+    costs what a lookup on mpmath itself does."""
+    import mpmath as module
+    if _block_bits is not None:
+        module.mp.prec = _block_bits
+    del mpmath.__getattr__
+    vars(mpmath).update(vars(module))
+    return getattr(module, name)
+
+
+mpmath = types.ModuleType("mpmath")
+mpmath.__getattr__ = _load_mpmath
+
+
+def load_mpmath():
+    """Import mpmath now rather than at its first use."""
+    return mpmath.mp
+
 
 # exact by type, not by isinstance: bool and int subclasses are inexact
 EXACT_TYPES = {int, Fraction}
@@ -80,9 +116,25 @@ def rel_err(lhs, rhs) -> float:
     return float(diff / max(abs(lf), abs(rf)))
 
 
+@contextmanager
 def float_precision(bits: int):
-    """Context manager setting the mpmath working precision in bits."""
-    return mpmath.workprec(bits)
+    """Context manager setting the mpmath working precision in bits; it
+    does not import mpmath."""
+    global _block_bits
+    outer_block = _block_bits
+    loaded = sys.modules.get("mpmath")
+    # the precision to restore: mpmath's own, else the one it would load at
+    outer = loaded.mp.prec if loaded else (outer_block or _DEFAULT_BITS)
+    _block_bits = bits
+    if loaded:
+        loaded.mp.prec = bits
+    try:
+        yield
+    finally:
+        _block_bits = outer_block
+        loaded = sys.modules.get("mpmath")
+        if loaded:
+            loaded.mp.prec = outer
 
 
 def format_scalar(x, digits: int = 17) -> str:

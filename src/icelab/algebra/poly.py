@@ -38,11 +38,9 @@ import math
 from operator import lshift
 from typing import Mapping, Sequence
 
-import mpmath
-
 from ..errors import NonzeroRemainder
 from .field import (EXACT_TYPES, ONE, ZERO, format_scalar, integer_numerators,
-                    is_exact, qdiv)
+                    is_exact, mpmath, qdiv)
 
 
 # -- the sparse multiply kernel ------------------------------------------

@@ -47,10 +47,8 @@ from functools import reduce
 from operator import le, lshift, or_
 from typing import Mapping, Sequence
 
-import mpmath
-
 from ..errors import ZeroConstantTerm
-from .field import EXACT_TYPES, ONE, ZERO, integer_numerators, qdiv
+from .field import EXACT_TYPES, ONE, ZERO, integer_numerators, mpmath, qdiv
 from .poly import Packing, Poly, sparse_product
 
 

@@ -17,10 +17,8 @@ import sys
 import time
 from dataclasses import dataclass
 
-import mpmath
-
 from . import correlations, identities, izergin_korepin, lattice
-from .algebra.field import ONE, float_precision, qdiv, rational
+from .algebra.field import ONE, float_precision, load_mpmath, mpmath, qdiv, rational
 from .algebra.poly import Poly
 from .errors import ConfigError, UsageError
 from .report import STATUSES, CheckReport
@@ -29,6 +27,8 @@ from .sampling import (DeterministicRng, asep_parameters, distinct_rationals,
 
 SUITES = ("partition", "boundary", "generating", "efp", "rcp", "antisym",
           "tracy-widom")
+# they certify the trigonometric family in mpmath floats on either backend
+FLOAT_SUITES = ("partition", "antisym")
 
 DEFAULT_SEED = 20260811
 
@@ -131,6 +131,8 @@ def parse_config(argv, env=None) -> SuiteConfig:
         tolerance=ns.tolerance, output_path=ns.json_path,
         weight_triples=tuple(triples))
     config.validate()
+    if config.backend == "float" or set(FLOAT_SUITES) & set(config.suites):
+        load_mpmath()   # at set-up, not inside the first check that computes in floats
     return config
 
 

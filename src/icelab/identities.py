@@ -29,9 +29,7 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-import mpmath
-
-from .algebra.field import ONE, is_exact, qdiv, rational
+from .algebra.field import ONE, is_exact, mpmath, qdiv, rational
 from .algebra.perms import antisymmetrize, subset_antisymmetrize, subset_products
 from .algebra.poly import Poly, det, poly_exact_div, vandermonde, vandermonde_value
 from .algebra.series import SeriesRing, TruncatedSeries

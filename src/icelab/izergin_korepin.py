@@ -15,8 +15,7 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-import mpmath
-
+from .algebra.field import mpmath
 from .algebra.series import SeriesRing, series_sin, jet_derivative
 from .errors import CoincidingParameters, PoleInPhi
 from .lattice import (InhomogeneousWeights, TrigWeights, partition_function,

@@ -43,9 +43,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterator, Sequence, Union
 
-import mpmath
-
-from .algebra.field import integer_numerators, is_exact, qdiv, rational
+from .algebra.field import integer_numerators, is_exact, mpmath, qdiv, rational
 from .errors import (DegenerateWeights, CoincidingParameters, PoleInPhi,
                      PositionsOutOfRange, WidthMismatch)
 

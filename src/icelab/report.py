@@ -22,7 +22,6 @@ exception, an internal bug.  A comparison that comes out false is
 from __future__ import annotations
 
 import os
-import traceback
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -53,19 +52,23 @@ def _render(value) -> str:
         return value
     if isinstance(value, (list, tuple)):
         return "(" + ", ".join(_render(v) for v in value) + ")"
+    if isinstance(value, Poly):
+        return repr(value)
     try:
         return format_scalar(value)
     except TypeError:
-        return repr(value)  # polynomials and other structured values
+        return repr(value)  # other structured values
 
 
 def _origin(exc: Exception) -> str:
     """Where ``exc`` was raised: "file:line in function" of its innermost frame."""
-    frames = traceback.extract_tb(exc.__traceback__)
-    if not frames:
+    tb = exc.__traceback__
+    if tb is None:
         return ""
-    last = frames[-1]
-    return f"{os.path.basename(last.filename)}:{last.lineno} in {last.name}"
+    while tb.tb_next is not None:
+        tb = tb.tb_next
+    code = tb.tb_frame.f_code
+    return f"{os.path.basename(code.co_filename)}:{tb.tb_lineno} in {code.co_name}"
 
 
 @dataclass

@@ -13,22 +13,18 @@ a given seed can be reproduced by any implementation:
 * ``uniform(a, b)`` = a + (b - a) * (state >> 11) / 2^53  after one step.
 
 Draws that violate a pole or distinctness predicate are rejected and
-logged; the 1000th rejection of a single draw is an error.
+counted in ``DeterministicRng.rejections``; the 1000th rejection of a
+single draw is an error.
 """
 
 from __future__ import annotations
 
-import logging
 from typing import Callable
 
-import mpmath
-
-from .algebra.field import rational
+from .algebra.field import mpmath, rational
 from .errors import SamplingExhausted
 from .identities import subset_products_avoid_one
 from .lattice import HomogeneousWeights
-
-log = logging.getLogger(__name__)
 
 _MULT = 6364136223846793005
 _INC = 1442695040888963407
@@ -42,6 +38,7 @@ class DeterministicRng:
 
     def __init__(self, seed: int):
         self.state = seed & _MASK
+        self.rejections = 0   # draws refused by ``sample_until``
 
     def next_u64(self) -> int:
         self.state = (_MULT * self.state + _INC) & _MASK
@@ -60,13 +57,11 @@ class DeterministicRng:
         return lo + (hi - lo) * frac
 
     def sample_until(self, draw: Callable, accept: Callable, what: str = "draw"):
-        for attempt in range(_MAX_TRIES):
+        for _ in range(_MAX_TRIES):
             value = draw()
             if accept(value):
-                if attempt:
-                    log.debug("%s accepted after %d rejections", what, attempt)
                 return value
-            log.debug("%s rejected (attempt %d)", what, attempt + 1)
+            self.rejections += 1
         raise SamplingExhausted(f"no admissible {what} in {_MAX_TRIES} tries")
 
 
@@ -118,7 +113,7 @@ def distinct_rationals(rng: DeterministicRng, count: int,
     return rng.sample_until(make, accept_tuple, "rational tuple")
 
 
-_MARGIN = mpmath.mpf("0.05")
+_MARGIN = 0.05   # a double, equal to mpf("0.05") at 53 bits
 
 
 def trig_parameters(rng: DeterministicRng, s: int, *, with_zeta: bool = False):

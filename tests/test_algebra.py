@@ -1,6 +1,11 @@
 """Field, polynomial, series, and permutation layer."""
 
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -14,6 +19,7 @@ from icelab.sampling import DeterministicRng
 from test_helper_oracles import signed_permutations
 
 Q = rational
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def rand_q(rng):
@@ -44,6 +50,43 @@ def test_a_draw_is_given_up_at_its_1000th_rejection():
     with pytest.raises(SamplingExhausted, match="in 1000 tries"):
         rng.sample_until(lambda: draws.append(rng.rational()), lambda v: False)
     assert len(draws) == 1000
+    assert rng.rejections == 1000
+
+
+def test_rejections_count_the_refused_draws_of_every_sample():
+    rng = DeterministicRng(1)
+    assert rng.rejections == 0
+    assert rng.sample_until(rng.rational, lambda v: True) is not None
+    assert rng.rejections == 0
+    draws = iter(range(10))
+    assert rng.sample_until(lambda: next(draws), lambda v: v >= 3) == 3
+    assert rng.rejections == 3
+    assert rng.sample_until(lambda: next(draws), lambda v: v % 2 == 1) == 5
+    assert rng.rejections == 4
+
+
+def test_mpmath_first_loaded_in_nested_blocks_starts_at_the_innermost_precision():
+    # a fresh interpreter, so that no import has loaded mpmath yet
+    script = """
+import json, sys
+from icelab.algebra.field import float_precision, mpmath
+precs = []
+with float_precision(60):
+    with float_precision(80):
+        precs.append("mpmath" in sys.modules)
+        precs.append(mpmath.mp.prec)
+    precs.append(mpmath.mp.prec)
+precs.append(mpmath.mp.prec)
+mpmath.mp.prec = 70
+with float_precision(90):
+    precs.append(mpmath.mp.prec)
+precs.append(mpmath.mp.prec)
+print(json.dumps(precs))
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [False, 80, 60, 53, 90, 70]
 
 
 @pytest.mark.parametrize("x, exact", ((3, True), (Q(2, 3), True), (True, False),

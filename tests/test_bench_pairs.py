@@ -4,8 +4,11 @@ and fail the script."""
 
 import importlib.util
 import json
+import os
 import shutil
+import signal
 import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -48,6 +51,43 @@ def test_the_parent_tree_is_removed_when_a_run_is_cut_short(
         bench_pairs.main(["--out", str(tmp_path / "out.json"), "--seed", "1"])
     parent, change = bench_pairs.trees
     assert not parent.exists() and not change.exists()
+
+
+def test_both_trees_are_removed_when_the_script_is_sent_sigterm(tmp_path):
+    # the script runs in its own interpreter, with a first run that never
+    # ends, so that SIGTERM reaches it the way a time limit would
+    driver = f"""
+import importlib.util, sys, tempfile, time
+from pathlib import Path
+spec = importlib.util.spec_from_file_location("bench_pairs", {str(SCRIPT)!r})
+module = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(module)
+
+def extract(base):
+    return (Path(tempfile.mkdtemp(prefix="icelab-parent-")),
+            Path(tempfile.mkdtemp(prefix="icelab-change-")), "0" * 40)
+
+def bench(tree, workload, seed, seconds):
+    print("running", flush=True)
+    time.sleep(60)
+
+module.extract, module.bench = extract, bench
+sys.exit(module.main(["--out", {str(tmp_path / "out.json")!r}, "--seed", "1"]))
+"""
+    tmpdir = tmp_path / "tmp"
+    tmpdir.mkdir()
+    proc = subprocess.Popen([sys.executable, "-c", driver], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True,
+                            env={**os.environ, "TMPDIR": str(tmpdir)})
+    try:
+        assert proc.stdout.readline() == "running\n", proc.stderr.read()
+        assert sorted(p.name.split("-")[1] for p in tmpdir.iterdir()) == ["change", "parent"]
+        proc.send_signal(signal.SIGTERM)
+        assert proc.wait(timeout=30) == 128 + signal.SIGTERM
+    finally:
+        proc.kill()
+        proc.communicate()
+    assert list(tmpdir.iterdir()) == []
 
 
 def test_failed_runs_are_counted_per_side_and_fail_the_script(

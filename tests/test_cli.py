@@ -3,7 +3,11 @@
 import hashlib
 import itertools
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -221,6 +225,40 @@ def test_reference_run_reports_are_pinned(name):
     assert code == 0, summarize(reports)
     assert len(reports) == count
     assert _digest(reports) == digest
+
+
+def _loads_mpmath(args) -> tuple:
+    """(after set-up, after the run): whether ``mpmath`` is in
+    ``sys.modules`` of a fresh interpreter that parses ``args`` with
+    ``parse_config`` and then, unless set-up loaded it, runs them."""
+    script = f"""
+import json, sys
+from icelab import cli
+config = cli.parse_config({list(args)!r}, env={{}})
+loaded = ["mpmath" in sys.modules]
+if not loaded[0]:
+    code, reports = cli.run(config)
+    assert code == 0, cli.summarize(reports)
+    loaded.append("mpmath" in sys.modules)
+print(json.dumps(loaded))
+"""
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return tuple(json.loads(proc.stdout))
+
+
+@pytest.mark.parametrize("suite", ("boundary", "generating", "efp", "rcp", "tracy-widom"))
+def test_an_exact_run_of_a_rational_suite_never_loads_mpmath(suite):
+    assert _loads_mpmath(["--suite", suite, "--n-max", "4", "--draws", "2"]) == (False, False)
+
+
+@pytest.mark.parametrize("args", (["--suite", "partition"], ["--suite", "antisym"],
+                                  ["--suite", "efp", "--backend", "float"]),
+                         ids=("partition", "antisym", "float"))
+def test_set_up_loads_mpmath_for_a_run_that_computes_in_floats(args):
+    assert _loads_mpmath(args) == (True,)
 
 
 def test_one_by_one_lattice_with_s_max_one_passes():

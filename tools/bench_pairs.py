@@ -22,7 +22,8 @@ for neither side).  An end-to-end metric improves in the direction that
 ``BENCHMARK.json`` declares.  A run whose correctness gate failed
 (``"correct": false``) is still measured, but each workload records how
 many runs failed on each side, and the script then exits with status 1.
-Both temporary trees are removed however the script ends.
+Both temporary trees are removed however the script ends, SIGTERM
+included: its handler raises ``SystemExit``, so that the cleanup runs.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ import json
 import os
 import platform
 import shutil
+import signal
 import statistics
 import subprocess
 import sys
@@ -134,6 +136,10 @@ def run_pairs(parent: Path, change: Path, base_rev: str, spec: dict, seed: int,
 
 
 
+def _exit_on_sigterm(signum, frame):
+    raise SystemExit(128 + signum)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", required=True, type=Path)
@@ -143,6 +149,7 @@ def main(argv=None) -> int:
     ns = parser.parse_args(argv)
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    signal.signal(signal.SIGTERM, _exit_on_sigterm)
     parent, change, base_rev = extract(ns.base)
     try:
         failed = run_pairs(parent, change, base_rev, spec, ns.seed, ns.out)
