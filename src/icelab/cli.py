@@ -23,12 +23,11 @@ from .algebra.poly import Poly
 from .errors import ConfigError, UsageError
 from .report import STATUSES, CheckReport
 from .sampling import (DeterministicRng, asep_parameters, distinct_rationals,
-                       float_weight_triple, trig_parameters, weight_triple)
+                       float_weight_triple, sigma_parameters, trig_parameters,
+                       weight_triple)
 
 SUITES = ("partition", "boundary", "generating", "efp", "rcp", "antisym",
           "tracy-widom")
-# they certify the trigonometric family in mpmath floats on either backend
-FLOAT_SUITES = ("partition", "antisym")
 
 DEFAULT_SEED = 20260811
 
@@ -131,7 +130,7 @@ def parse_config(argv, env=None) -> SuiteConfig:
         tolerance=ns.tolerance, output_path=ns.json_path,
         weight_triples=tuple(triples))
     config.validate()
-    if config.backend == "float" or set(FLOAT_SUITES) & set(config.suites):
+    if config.backend == "float":
         load_mpmath()   # at set-up, not inside the first check that computes in floats
     return config
 
@@ -195,15 +194,18 @@ def _suite_partition(run: _Runner, rng: DeterministicRng):
                            lattice.partition_function_bottom_up(cfg.n_max, w())))
 
     for draw in range(cfg.draws):
-        lams, nus, eta = trig_parameters(rng, min(cfg.n_max, 5))
+        if run.exact:
+            lams, nus, eta, lam0 = sigma_parameters(rng, min(cfg.n_max, 5), points=1)
+        else:
+            lams, nus, eta = trig_parameters(rng, min(cfg.n_max, 5))
+            lam0 = rng.uniform(mpmath.mpf("0.95"), mpmath.mpf("1.8"))
         for n in range(1, min(cfg.n_max, 5) + 1):
             run.check(
                 "partition.inhomogeneous_det_vs_transfer",
                 {"draw": draw, "n": n, "eta": eta},
                 lambda: (izergin_korepin.ik_inhomogeneous(lams[:n], nus[:n], eta),
                          lattice.partition_function(
-                             n, lattice.InhomogeneousWeights(lams[:n], nus[:n], eta))),
-                exact=False)
+                             n, lattice.InhomogeneousWeights(lams[:n], nus[:n], eta))))
         n = min(cfg.n_max, 5)
         if n >= 2:
             swapped = (lams[1], lams[0]) + lams[2:n]
@@ -211,23 +213,20 @@ def _suite_partition(run: _Runner, rng: DeterministicRng):
                 "partition.inhomogeneous_symmetry",
                 {"draw": draw, "n": n},
                 lambda: (izergin_korepin.ik_inhomogeneous(lams[:n], nus[:n], eta),
-                         izergin_korepin.ik_inhomogeneous(swapped, nus[:n], eta)),
-                exact=False)
+                         izergin_korepin.ik_inhomogeneous(swapped, nus[:n], eta)))
 
-        lam0 = rng.uniform(mpmath.mpf("0.95"), mpmath.mpf("1.8"))
         for n in range(1, min(cfg.n_max, 6) + 1):
             run.check(
                 "partition.homogeneous_det_vs_transfer",
                 {"draw": draw, "n": n, "lam": lam0, "eta": eta},
                 lambda: (izergin_korepin.ik_homogeneous(lam0, eta, n),
                          lattice.partition_function(
-                             n, lattice.weights_from_trig(lam0, eta))),
-                exact=False)
+                             n, lattice.weights_from_trig(lam0, eta))))
         n = min(cfg.n_max, 5)
         run.check("partition.partial_inhomogeneous_factorization",
                   {"draw": draw, "n": n, "lam0": lam0, "lambdas": lams[:n]},
                   izergin_korepin.partial_inhomogeneous_relation,
-                  lams[:n], lam0, eta, exact=False)
+                  lams[:n], lam0, eta)
 
 
 def _suite_boundary(run: _Runner, rng: DeterministicRng):
@@ -406,18 +405,23 @@ def _suite_antisym(run: _Runner, rng: DeterministicRng):
     cfg = run.config
     for draw in range(cfg.draws):
         for s in range(1, min(cfg.s_max, 5) + 1):
-            lams, nus, eta = trig_parameters(rng, s)
+            if run.exact:
+                lams, nus, eta = sigma_parameters(rng, s)
+            else:
+                lams, nus, eta = trig_parameters(rng, s)
             run.check("antisym.trig_kernel_vs_determinant",
                       {"draw": draw, "s": s, "lambdas": lams, "nus": nus, "eta": eta},
-                      identities.check_trig_antisymmetrization, lams, nus, eta,
-                      exact=False)
+                      identities.check_trig_antisymmetrization, lams, nus, eta)
         for s in range(1, min(cfg.s_max, 4) + 1):
-            lams, nus, eta, zeta = trig_parameters(rng, s, with_zeta=True)
-            zeta2 = zeta + mpmath.mpf("0.11")
+            if run.exact:
+                lams, nus, eta, zeta, zeta2 = sigma_parameters(rng, s, points=2)
+            else:
+                lams, nus, eta, zeta = trig_parameters(rng, s, with_zeta=True)
+                zeta2 = zeta + mpmath.mpf("0.11")
             run.check("antisym.cauchy_ratio_vs_partition_fn",
                       {"draw": draw, "s": s, "eta": eta, "zeta": zeta, "zeta2": zeta2},
                       identities.check_w_matches_partition_fn,
-                      lams, nus, eta, zeta, zeta2, exact=False)
+                      lams, nus, eta, zeta, zeta2)
         for s in range(1, min(cfg.s_max, 4) + 1):
             w = weight_triple(rng)
             zs = _rational_kernel_points(rng, s, w)

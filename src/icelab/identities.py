@@ -3,17 +3,22 @@ evaluations.
 
 Two families are certified here.  The trigonometric family antisymmetrizes
 kernels of the weight functions and lands on the inhomogeneous partition
-function determinant; it runs in the float backend.  The rational family
-(the double antisymmetrization over two variable sets, its homogeneous
-and confluent limits, and the exclusion-process degeneration) is closed
-under rational arithmetic and is certified bit-exactly.
+function determinant.  Its parameters come in either form of
+``lattice.TrigWeights``: as exponentials X = e^{i lambda}, Y = e^{i nu},
+Q = e^{i eta}, whose sigma-weights make each identity rational and
+certify it bit-exactly, or as angles, whose sines are compared in the
+float backend.  The rational family (the double antisymmetrization over
+two variable sets, its homogeneous and confluent limits, and the
+exclusion-process degeneration) is closed under rational arithmetic and
+is certified bit-exactly.
 
-The trigonometric sum is taken literally, term by term in the order of
-``perms.antisymmetrize``, so its float value does not change.  The exact
-sums (the double antisymmetrization, the rational and scaled-Vandermonde
-kernels and the exclusion-process left-hand side) are products of position,
-ordered pair and prefix factors, and ``perms.subset_antisymmetrize`` takes
-them over sets of placed indices instead of over orderings.
+The float trigonometric sum is taken literally, term by term in the order
+of ``perms.antisymmetrize``, so its value does not change.  The exact sums
+(the trigonometric, double antisymmetrization, rational and
+scaled-Vandermonde kernels and the exclusion-process left-hand side) are
+products of position, ordered pair and prefix factors, and
+``perms.subset_antisymmetrize`` takes them over sets of placed indices
+instead of over orderings.
 
 The recurring right-hand side is the normalized Cauchy-like determinant
 
@@ -34,8 +39,8 @@ from .algebra.perms import antisymmetrize, subset_antisymmetrize, subset_product
 from .algebra.poly import Poly, det, poly_exact_div, vandermonde, vandermonde_value
 from .algebra.series import SeriesRing, TruncatedSeries
 from .correlations import sym_generating_poly, u_map
-from .errors import (CoincidingParameters, JetOrderInsufficient,
-                     NonzeroRemainder, PoleHit)
+from .errors import (CoincidingParameters, DegenerateWeights, JetOrderInsufficient,
+                     NonzeroRemainder, PoleHit, PoleInPhi)
 from .izergin_korepin import ik_inhomogeneous
 from .lattice import HomogeneousWeights, TrigWeights, partition_function
 
@@ -58,9 +63,21 @@ def rational_sqrt(value):
 
 def check_trig_antisymmetrization(lambdas: Sequence, nus: Sequence, eta):
     """Antisymmetrizing the ordered a/b kernel over the lambdas equals the
-    partition-function determinant times the ratio of sine products."""
+    partition-function determinant times the ratio of sine products.
+
+    The kernel is a product of position factors, a(lambda_j, nu_k) for k <
+    j and b(lambda_j, nu_k) for k > j, and ordered pair factors 1 /
+    e(lambda_k, lambda_j) for j < k.  Exact parameters sum it over sets by
+    ``subset_antisymmetrize``; floats sum it literally, in the order of
+    ``perms.antisymmetrize``, so that their value does not change."""
     s = len(lambdas)
     w = TrigWeights(eta)
+
+    def e(lam, lam2):   # both sides divide by e(lambda_k, lambda_j)
+        value = w.e(lam, lam2)
+        if value == 0:
+            raise PoleHit("e(lambda_k, lambda_j) vanishes")
+        return value
 
     def kernel(*ls):
         val = mpmath.mpf(1)
@@ -71,13 +88,19 @@ def check_trig_antisymmetrization(lambdas: Sequence, nus: Sequence, eta):
                 val *= w.b(ls[j], nus[k])
         for j in range(s):
             for k in range(j + 1, s):
-                e = w.e(ls[k], ls[j])
-                if e == 0:
-                    raise PoleHit("e(lambda_k, lambda_j) vanishes")
-                val /= e
+                val /= e(ls[k], ls[j])
         return val
 
-    lhs = antisymmetrize(kernel, list(lambdas))
+    if w.exact:
+        a = [[w.a(lam, nu) for nu in nus] for lam in lambdas]
+        b = [[w.b(lam, nu) for nu in nus] for lam in lambdas]
+        position = [[math.prod(a[v][:j]) * math.prod(b[v][j + 1:]) for v in range(s)]
+                    for j in range(s)]
+        pair = [[ONE if u == v else ONE / e(lambdas[v], lambdas[u]) for v in range(s)]
+                for u in range(s)]
+        lhs = subset_antisymmetrize([(position, pair)])
+    else:
+        lhs = antisymmetrize(kernel, list(lambdas))
     rhs = ik_inhomogeneous(lambdas, nus, eta)
     # the sine-difference product is oriented d(lambda_j, lambda_k), j < k;
     # the reversed orientation fails by (-1)^{s(s-1)/2} (checked at high
@@ -87,10 +110,7 @@ def check_trig_antisymmetrization(lambdas: Sequence, nus: Sequence, eta):
             rhs *= w.d(lambdas[j], lambdas[k])
     for j in range(s):
         for k in range(s):
-            e = w.e(lambdas[k], lambdas[j])
-            if e == 0:
-                raise PoleHit("e(lambda_k, lambda_j) vanishes")
-            rhs /= e
+            rhs /= e(lambdas[k], lambdas[j])
     return lhs, rhs
 
 
@@ -265,26 +285,34 @@ def check_w_matches_partition_fn(lambdas: Sequence, nus: Sequence, eta, zeta,
     Cauchy ratio divided by a sine prefactor equals the partition function;
     the auxiliary parameter enters the prefactor only, which is verified by
     extracting at a second value.  The sides are the values extracted at
-    zeta and zeta2, and the partition function twice."""
+    zeta and zeta2, and the partition function twice.  In sigma-weights tau
+    is -(Q^2 + Q^-2) and zeta + eta is Z Q."""
     s = len(lambdas)
     w = TrigWeights(eta)
-    tau = -2 * mpmath.cos(2 * eta)
+    tau = w.tau()
     z_s = ik_inhomogeneous(lambdas, nus, eta)
+    c = w.c()
+    if c == 0:
+        raise DegenerateWeights("c vanishes")
+
+    def b(lam, nu):
+        value = w.b(lam, nu)
+        if value == 0:
+            raise PoleInPhi(f"b vanishes at ({lam}, {nu})")
+        return value
 
     def extracted_partition_fn(z):
-        xs = tuple(w.a(lam, z + eta) / w.b(lam, z + eta) for lam in lambdas)
-        ys = tuple(w.a(z, nu) / w.b(z, nu) for nu in nus)
+        shifted = w.plus(z, eta)
+        xs = tuple(w.a(lam, shifted) / b(lam, shifted) for lam in lambdas)
+        ys = tuple(w.a(z, nu) / b(z, nu) for nu in nus)
         ratio = cauchy_ratio(xs, ys, tau)
-        pref = mpmath.mpf(1)
+        pref = w.one
         for lam, nu in zip(lambdas, nus):
-            pref *= w.b(lam, z + eta) * w.b(z, nu)
-        pref /= w.c() ** (2 * s)
+            pref *= w.b(lam, shifted) * w.b(z, nu)
+        pref /= c ** (2 * s)
         for lam in lambdas:
             for nu in nus:
-                b = w.b(lam, nu)
-                if b == 0:
-                    raise PoleHit("b(lambda, nu) vanishes")
-                pref /= b
+                pref /= b(lam, nu)
         if s % 2:
             pref = -pref
         return ratio / pref

@@ -13,7 +13,8 @@ Geometry and conventions (fixed here once, used everywhere):
   r = i+1 counted right to left, True meaning an up arrow;
 * the vertex at horizontal line k and position r carries, in the
   inhomogeneous parametrization, the weights a(lam_r, nu_k),
-  b(lam_r, nu_k), c = sin 2*eta.
+  b(lam_r, nu_k), c = sin 2*eta (or their sigma forms, see
+  ``TrigWeights``).
 
 The six admissible vertices are exactly the edge assignments with two
 inward and two outward arrows.  They are encoded in ``VERTEX_TYPE`` by
@@ -43,7 +44,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterator, Sequence, Union
 
-from .algebra.field import integer_numerators, is_exact, mpmath, qdiv, rational
+from .algebra.field import ONE, integer_numerators, is_exact, mpmath, qdiv, rational
 from .errors import (DegenerateWeights, CoincidingParameters, PoleInPhi,
                      PositionsOutOfRange, WidthMismatch)
 
@@ -60,26 +61,77 @@ VERTEX_TYPE = {
 }
 
 
-@dataclass(frozen=True)
 class TrigWeights:
-    """The trigonometric weight functions at crossing parameter eta."""
+    """The trigonometric weight functions at crossing parameter eta.
 
-    eta: object
+    Float parameters are angles: a(lam, nu) = sin(lam - nu + eta),
+    b(lam, nu) = sin(lam - nu - eta), c = sin 2 eta, d(lam, lam') =
+    sin(lam - lam') and e(lam, lam') = sin(lam - lam' + 2 eta).
+
+    Exact parameters are their exponentials X = e^{i lam}, Y = e^{i nu},
+    Q = e^{i eta}, given as rationals (Kuperberg's multiplicative form).
+    Since sin theta = sigma(e^{i theta}) / 2i with sigma(w) = w - 1/w,
+    each weight becomes sigma of a monomial: a -> sigma(X Q / Y), b ->
+    sigma(X / (Y Q)), c -> sigma(Q^2), d -> sigma(X / X'), e -> sigma(X
+    Q^2 / X').  Every identity certified with these weights is homogeneous
+    in them, both sides of the same degree, so the powers of 2i cancel and
+    it holds over the rationals with sigma in place of sin.
+
+    The formulas are written once, through the group law of the spectral
+    parameters (``plus``, ``minus`` and ``origin``: addition from 0 for
+    angles, multiplication from 1 for exponentials) and ``sine``.
+    """
+
+    __slots__ = ("eta", "exact")
+
+    def __init__(self, eta):
+        self.eta = eta
+        self.exact = is_exact(eta)
+
+    @property
+    def origin(self):
+        """The spectral parameter nu = 0: 0 for angles, 1 for exponentials."""
+        return ONE if self.exact else 0
+
+    @property
+    def one(self):
+        """The scalar 1 of the weights' field."""
+        return ONE if self.exact else mpmath.mpf(1)
+
+    def plus(self, x, y):
+        return x * y if self.exact else x + y
+
+    def minus(self, x, y):
+        return qdiv(x, y) if self.exact else x - y
+
+    def sine(self, theta):
+        """sin theta, or sigma(w) = w - 1/w = 2i sin theta at w = e^{i theta}."""
+        if not self.exact:
+            return mpmath.sin(theta)
+        num, den = theta.numerator, theta.denominator
+        return rational(num * num - den * den, num * den)
 
     def a(self, lam, nu):
-        return mpmath.sin(lam - nu + self.eta)
+        return self.sine(self.plus(self.minus(lam, nu), self.eta))
 
     def b(self, lam, nu):
-        return mpmath.sin(lam - nu - self.eta)
+        return self.sine(self.minus(self.minus(lam, nu), self.eta))
 
     def c(self):
-        return mpmath.sin(2 * self.eta)
+        return self.sine(self.plus(self.eta, self.eta))
 
     def d(self, lam, lam2):
-        return mpmath.sin(lam - lam2)
+        return self.sine(self.minus(lam, lam2))
 
     def e(self, lam, lam2):
-        return mpmath.sin(lam - lam2 + 2 * self.eta)
+        return self.sine(self.plus(self.minus(lam, lam2), self.plus(self.eta, self.eta)))
+
+    def tau(self):
+        """-2 cos 2 eta, or -(Q^2 + Q^-2): the Cauchy kernel's parameter."""
+        if self.exact:
+            q2 = self.eta * self.eta
+            return -(q2 + qdiv(1, q2))
+        return -2 * mpmath.cos(2 * self.eta)
 
     def phi(self, lam, nu):
         a = self.a(lam, nu)
@@ -89,9 +141,12 @@ class TrigWeights:
         return self.c() / (a * b)
 
     def gamma(self, xi, lam):
-        """The boundary variable change; gamma(0, lam) == 1 identically."""
-        return (self.a(lam, 0) * self.b(lam + xi, 0)) / \
-            (self.b(lam, 0) * self.a(lam + xi, 0))
+        """The boundary variable change; gamma(origin, lam) == 1 identically."""
+        o, shifted = self.origin, self.plus(lam, xi)
+        den = self.b(lam, o) * self.a(shifted, o)
+        if den == 0:
+            raise PoleInPhi(f"a or b vanishes at {lam} or {shifted}")
+        return (self.a(lam, o) * self.b(shifted, o)) / den
 
 
 @dataclass(frozen=True)
@@ -151,43 +206,49 @@ class HomogeneousWeights:
 @dataclass(frozen=True)
 class InhomogeneousWeights:
     """Spectral parameters: lambdas on vertical lines (right to left),
-    nus on horizontal lines (top to bottom), crossing parameter eta.
+    nus on horizontal lines (top to bottom), crossing parameter eta, as
+    angles (floats) or as their exponentials (rationals), the two forms
+    of ``TrigWeights``.
 
     The lambdas must be pairwise distinct; coinciding nus are allowed
-    here (the partially homogeneous model sets all of them to zero) and
-    distinctness is enforced where a formula actually divides by their
-    differences.
+    here (the partially homogeneous model sets all of them to the origin)
+    and distinctness is enforced where a formula actually divides by
+    their differences.  The vertex values are computed once, on
+    construction; ``exact`` takes part in equality and hashing, as in
+    ``HomogeneousWeights``.
     """
 
     lambdas: tuple
     nus: tuple
     eta: object
+    exact: bool = field(init=False, repr=False)
+    _vertices: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.lambdas) != len(self.nus):
             raise WidthMismatch("need as many lambdas as nus")
         if len(set(self.lambdas)) != len(self.lambdas):
             raise CoincidingParameters("lambdas must be pairwise distinct")
-
-    @property
-    def exact(self) -> bool:
-        return False
+        w = TrigWeights(self.eta)
+        c = w.c()
+        object.__setattr__(self, "exact", w.exact)
+        object.__setattr__(self, "_vertices", tuple(
+            tuple({"a": w.a(lam, nu), "b": w.b(lam, nu), "c": c} for lam in self.lambdas)
+            for nu in self.nus))
 
     def vertex(self, letter: str, row: int, position: int):
-        w = TrigWeights(self.eta)
-        if letter == "c":
-            return w.c()
-        return getattr(w, letter)(self.lambdas[position - 1], self.nus[row - 1])
+        return self._vertices[row - 1][position - 1][letter]
 
 
 WeightSpec = Union[HomogeneousWeights, InhomogeneousWeights]
 
 
 def weights_from_trig(lam, eta) -> HomogeneousWeights:
-    """Homogeneous float weights a=sin(lam+eta), b=sin(lam-eta), c=sin 2 eta:
-    the trigonometric weights at nu = 0."""
+    """The trigonometric weights at nu = origin: a = sin(lam + eta), b =
+    sin(lam - eta), c = sin 2 eta for angles, a = sigma(X Q), b = sigma(X /
+    Q), c = sigma(Q^2) for exponentials."""
     w = TrigWeights(eta)
-    return HomogeneousWeights(w.a(lam, 0), w.b(lam, 0), w.c())
+    return HomogeneousWeights(w.a(lam, w.origin), w.b(lam, w.origin), w.c())
 
 
 # -- row states ------------------------------------------------------
@@ -320,33 +381,44 @@ def _row_weights(n: int, weights: WeightSpec, sk: Skeleton) -> tuple:
     d^(n*lines), which is exact because such a block is homogeneous of
     degree n*lines in (a, b, c).  Any other weights multiply their vertex
     values in position order r = 1..n, from a table of at most 3n^2, so
-    float values are the ones a scan of the line gives; ``scale`` returns
-    the value as it is.  ``one`` is the boundary vectors' entry.
+    float values are the ones a scan of the line gives.  Exact
+    inhomogeneous values are first replaced by their integer numerators
+    over one common denominator d, which scales each line's weight by
+    d^n, and ``scale`` divides as above; for floats it returns the value
+    as it is.  ``one`` is the boundary vectors' entry.
     """
+    d = 1
     if isinstance(weights, HomogeneousWeights) and weights.exact:
         nums, d = integer_numerators({x: getattr(weights, x) for x in "abc"})
         a, b, c = nums.values()
         power = [a ** i * b ** j * c ** l for i, j, l in sk.counts].__getitem__
         rows = tuple(tuple(list(map(power, classes)) for _, _, classes in row)
                      for row in sk.rows)
-        # int weights have int products, so their entries stay ints
-        if d == 1:
-            return 1, rows, lambda value, lines: value
-        return 1, rows, lambda value, lines: rational(value, d ** (n * lines))
-
-    def line(k):   # (vertex values by position and letter, prefix memo)
-        return [{x: weights.vertex(x, k, r) for x in "abc"} for r in range(1, n + 1)], {}
-
-    if isinstance(weights, HomogeneousWeights):
-        lines = [line(1)] * n   # every line has the same vertex values
     else:
-        lines = [line(k) for k in range(1, n + 1)]
-    rows = tuple(tuple([None if (w := _prefix_product(letters[m:m + n], vertex, partial)) == 0
-                        else w for m in range(0, len(letters), n)]
-                       for _, letters, _ in row)
-                 for row, (vertex, partial) in zip(sk.rows, lines))
-    one = 1 if weights.exact else mpmath.mpf(1)
-    return one, rows, lambda value, lines: value
+        def line(k):   # vertex values by position and letter
+            return [{x: weights.vertex(x, k, r) for x in "abc"} for r in range(1, n + 1)]
+
+        if isinstance(weights, HomogeneousWeights):
+            tables = [line(1)] * n   # every line has the same vertex values
+            memos = [{}] * n         # and so the same prefix products
+        else:
+            tables = [line(k) for k in range(1, n + 1)]
+            memos = [{} for _ in range(n)]
+        if weights.exact:
+            # one common denominator d scales every line's weight by d^n
+            nums, d = integer_numerators({(k, r, x): v for k, table in enumerate(tables)
+                                          for r, vertex in enumerate(table)
+                                          for x, v in vertex.items()})
+            tables = [[{x: nums[k, r, x] for x in "abc"} for r in range(n)]
+                      for k in range(n)]
+        rows = tuple(tuple([None if (w := _prefix_product(letters[m:m + n], vertex, partial))
+                            == 0 else w for m in range(0, len(letters), n)]
+                           for _, letters, _ in row)
+                     for row, vertex, partial in zip(sk.rows, tables, memos))
+    if d > 1:
+        return 1, rows, lambda value, lines: rational(value, d ** (n * lines))
+    # exact entries are then ints, whose products stay ints; floats are not scaled
+    return (1 if weights.exact else mpmath.mpf(1)), rows, lambda value, lines: value
 
 
 def _prefix_product(letters: str, vertex: list, partial: dict):

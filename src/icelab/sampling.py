@@ -14,14 +14,17 @@ a given seed can be reproduced by any implementation:
 
 Draws that violate a pole or distinctness predicate are rejected and
 counted in ``DeterministicRng.rejections``; the 1000th rejection of a
-single draw is an error.
+single draw is an error.  The trigonometric checks draw angles with
+``uniform`` on the float backend (``trig_parameters``) and their
+exponentials with ``rational`` on the exact one (``sigma_parameters``).
 """
 
 from __future__ import annotations
 
+import itertools
 from typing import Callable
 
-from .algebra.field import mpmath, rational
+from .algebra.field import ONE, mpmath, rational
 from .errors import SamplingExhausted
 from .identities import subset_products_avoid_one
 from .lattice import HomogeneousWeights
@@ -165,6 +168,38 @@ def trig_parameters(rng: DeterministicRng, s: int, *, with_zeta: bool = False):
     if with_zeta:
         return lams, nus, eta, zeta
     return lams, nus, eta
+
+
+def sigma_parameters(rng: DeterministicRng, s: int, points: int = 0) -> tuple:
+    """(xs, ys, q, p_1..p_points): the exponentials X_j = e^{i lambda_j}, Y_k
+    = e^{i nu_k} and Q = e^{i eta} of the trigonometric weights, and
+    ``points`` further exponentials (the homogeneous X_0 of the partition
+    suite, the auxiliary Z and Z' of the Cauchy extraction), each a
+    ``rational()``, drawn in the order Q, ys, xs, points.
+
+    Every weight of ``lattice.TrigWeights`` is sigma(w) = w - 1/w at a
+    ratio of two of the points 1, X_j, Y_k, p_i times Q^m, |m| <= 2, and
+    every parameter difference is such a ratio with m = 0.  A positive w
+    has sigma(w) = 0 only at w = 1, so a draw is refused when Q = 1 or when
+    two of those points differ by a factor Q^m, |m| <= 2: then no weight
+    and no difference that the trigonometric checks divide by vanishes."""
+
+    def draw():
+        return tuple(rng.rational() for _ in range(1 + 2 * s + points))
+
+    v = rng.sample_until(draw, lambda v: sigma_admissible(v[0], (ONE, *v[1:])),
+                         "sigma parameters")
+    return (v[1 + s:1 + 2 * s], v[1:1 + s], v[0], *v[1 + 2 * s:])
+
+
+def sigma_admissible(q, points) -> bool:
+    """True when q != 1 and no two of the positive rational points differ
+    by a factor q^m with |m| <= 2."""
+    if q == 1:
+        return False
+    q2 = q * q
+    powers = {ONE, q, q2, 1 / q, 1 / q2}
+    return not any(p / r in powers for p, r in itertools.combinations(points, 2))
 
 
 def asep_parameters(rng: DeterministicRng, s: int):

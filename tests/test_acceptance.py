@@ -3,9 +3,9 @@ and enforcing its runtime budget.
 
 Each criterion runs the CLI's own suites (``cli.run``) over a config that
 covers its range, so each check is declared once, in its suite.
-``_certify`` asserts exit 0, equal rendered sides for every exact check (a
-judge apart from ``CheckReport.from_comparison``; ``FLOAT_IDS`` are the six
-float checks), and the report counts in ``PINNED``, so a shrunk sweep fails.
+``_certify`` asserts exit 0, equal rendered sides for every check (a judge
+apart from ``CheckReport.from_comparison``; every config is exact), and the
+report counts in ``PINNED``, so a shrunk sweep fails.
 
 Caches are cleared at the start of every timed criterion so the budgets
 measure real work, not prior test activity.
@@ -25,12 +25,6 @@ from icelab.sampling import DeterministicRng, weight_triple
 FF = (Q(3), Q(4), Q(5))
 W234 = (Q(2), Q(3), Q(4))
 SEED = 20260811
-
-FLOAT_IDS = {
-    "partition.inhomogeneous_det_vs_transfer", "partition.inhomogeneous_symmetry",
-    "partition.homogeneous_det_vs_transfer",
-    "partition.partial_inhomogeneous_factorization",
-    "antisym.trig_kernel_vs_determinant", "antisym.cauchy_ratio_vs_partition_fn"}
 
 # criterion -> reports per check id that its configs must produce
 PINNED = {
@@ -93,7 +87,7 @@ def _certify(configs, needed):
         code, reports = cli_run(cfg)
         assert code == 0, summarize(reports)
         for rep in reports:
-            assert rep.check_id in FLOAT_IDS or rep.lhs == rep.rhs, rep
+            assert rep.lhs == rep.rhs, rep
         counts.update(rep.check_id for rep in reports)
     assert counts == needed
 

@@ -159,7 +159,7 @@ def _digest(reports) -> str:
 # sha256 of the report JSON of every suite at n_max=3, s_max=3, draws=1,
 # seed=1, pinned so that a refactoring cannot change a report unnoticed
 REPORT_DIGESTS = {
-    "exact": "84857537a0022b53ce4b306638c420507ee671d93e6eae5d3e8929db70d89f62",
+    "exact": "57f7387f9adec25768bd446f23de215b69919cbebafbe8ad967e16e572c4f311",
     "float": "21957d172a236e008b30350a02b59a7e8ddd5b4170e00d3f1a4ce49ac4106d59",
 }
 
@@ -188,10 +188,10 @@ GATED_WORKLOADS = {
 GATED_DIGESTS = {
     ("contour-exact", 111): "31588b0666e0826901412574c4282fcdb04e1f2a29a5db117bfe81aaf8f75d43",
     ("contour-exact", 7): "a9911499a9b4baee4d539cfc01bb46ae9d8b69d04f8362389034e7ad061631a6",
-    ("antisym-exact", 111): "e9b6ddf16747f7a51192247b92154dd5c680b047c13013f922a019f59f61f9b2",
-    ("antisym-exact", 7): "640dd0f548dd31c798bb1d457c1ef8d372d17f99c545923c64f7f626c1685b1b",
-    ("fold-exact", 111): "e85b9dbc588817948d004575cca79c544364d4464382b6af14d766d8f68b3676",
-    ("fold-exact", 7): "050cfd4bb53cd5fb885effaf3ec705b819452843b8b975193f771a5edce9806e",
+    ("antisym-exact", 111): "dbf540f0313f2c7f1773a67434c9ab5d75c5dc28f2665b66c382370477eb3003",
+    ("antisym-exact", 7): "f2dc90dc509a3470b381e762b7aafcda5cc720e1cbfb295a7762496ed3d039af",
+    ("fold-exact", 111): "5aec475d6f9fee21cf67a763f94b703371018b59e599048d9936ee9eb3ba36ce",
+    ("fold-exact", 7): "0f9b32c64d45daeb0f1622790945ae97f63312045b5748b7c16be39345a5136b",
 }
 
 
@@ -208,7 +208,7 @@ def test_timed_workload_reports_are_pinned(workload, seed):
 # contour workload on the float backend, whose values render as floats
 RUN_DIGESTS = {
     "default": (["--seed", "7"], 1770,
-                "cc1fc9c86ac9a7026899ab4ea3c3ae1e65a6fff58ae965c797ce5a9d07af2416"),
+                "0c6f4632564ac9f55138c0618294150f06009c4be057069f2f02f3c180315c2a"),
     "rcp": (["--suite", "rcp", "--seed", "47"], 424,
             "1edb9491bc647150bc921169fc883ba0461d185e3a5612d396155bddd9837fb9"),
     "contour-float": (["--suite", "generating", "--suite", "efp", "--suite", "rcp",
@@ -249,14 +249,28 @@ print(json.dumps(loaded))
     return tuple(json.loads(proc.stdout))
 
 
-@pytest.mark.parametrize("suite", ("boundary", "generating", "efp", "rcp", "tracy-widom"))
+@pytest.mark.parametrize("suite", ("partition", "boundary", "generating", "efp", "rcp",
+                                   "antisym", "tracy-widom"))
 def test_an_exact_run_of_a_rational_suite_never_loads_mpmath(suite):
     assert _loads_mpmath(["--suite", suite, "--n-max", "4", "--draws", "2"]) == (False, False)
 
 
-@pytest.mark.parametrize("args", (["--suite", "partition"], ["--suite", "antisym"],
-                                  ["--suite", "efp", "--backend", "float"]),
-                         ids=("partition", "antisym", "float"))
+@pytest.mark.parametrize("workload", ("antisym-exact", "fold-exact"))
+def test_an_exact_gated_workload_never_loads_mpmath(workload):
+    args = GATED_WORKLOADS[workload] + ["--seed", "111"]
+    assert _loads_mpmath(args) == (False, False)
+
+
+@pytest.mark.parametrize("workload", GATED_WORKLOADS)
+def test_an_exact_gated_workload_renders_no_float(workload):
+    # exact values render as p/q; a float always renders with a point
+    code, reports = run(parse_config(GATED_WORKLOADS[workload] + ["--seed", "111"], env={}))
+    assert code == 0, summarize(reports)
+    assert not [rep for rep in reports if "." in rep.lhs or "." in rep.rhs]
+
+
+@pytest.mark.parametrize("args", (["--suite", "efp", "--backend", "float"],),
+                         ids=("float",))
 def test_set_up_loads_mpmath_for_a_run_that_computes_in_floats(args):
     assert _loads_mpmath(args) == (True,)
 
@@ -506,7 +520,7 @@ def test_cauchy_ratio_check_fails_on_a_falsified_second_zeta(monkeypatch):
 
     def second_call_off(value):
         calls.append(value)
-        return value * (1 + mpmath.mpf("1e-6")) if len(calls) % 2 == 0 else value
+        return value * rational(1000001, 1000000) if len(calls) % 2 == 0 else value
 
     fails = _failing(monkeypatch, identities, "cauchy_ratio", second_call_off,
                      "antisym")
@@ -515,8 +529,8 @@ def test_cauchy_ratio_check_fails_on_a_falsified_second_zeta(monkeypatch):
     for rep in fails:
         at_zeta, at_zeta2 = rep.lhs.strip("()").split(", ")
         z, _ = rep.rhs.strip("()").split(", ")
-        assert abs(mpmath.mpf(at_zeta) / mpmath.mpf(z) - 1) < 1e-12
-        assert abs(mpmath.mpf(at_zeta2) / mpmath.mpf(z) - 1) > 1e-7
+        assert at_zeta == z != at_zeta2
+        assert rational(at_zeta2) == rational(z) * rational(1000001, 1000000)
 
 
 def test_from_comparison_takes_tuples_element_by_element():
@@ -532,6 +546,14 @@ def test_from_comparison_takes_tuples_element_by_element():
     rep = CheckReport.from_comparison("x.float", {}, floats, (ONE, ONE),
                                       exact=False, tolerance=1e-5)
     assert rep.status == "pass"
+
+
+def test_a_report_keeps_one_copy_of_equal_rendered_sides():
+    big = Poly(("z1",), {(k,): rational(k + 1, 7) for k in range(50)})
+    rep = CheckReport.from_comparison("x.poly", {}, big, big + 0, exact=True)
+    assert rep.passed and rep.rhs is rep.lhs
+    rep = CheckReport.from_comparison("x.poly", {}, big, big + 1, exact=True)
+    assert not rep.passed and rep.rhs != rep.lhs
 
 
 def test_from_comparison_judges_float_polys_by_their_coefficients():

@@ -1,6 +1,6 @@
 """tools/report_diff.py: equal reports exit 0, a differing entry is printed
 by check id and field, with the worst discrepancy of each side, and exits
-1, and the parent tree is always removed."""
+1, and both extracted trees are always removed."""
 
 import importlib.util
 import shutil
@@ -20,10 +20,11 @@ def report_diff(tmp_path, monkeypatch):
     spec.loader.exec_module(module)
     trees = []
 
-    def extract(base):
-        trees.append(Path(tempfile.mkdtemp(prefix="icelab-parent-", dir=tmp_path)))
-        shutil.copytree(module.ROOT / "src", trees[-1] / "src")
-        return trees[-1], "0" * 40
+    def extract(base):   # (parent, change, commit), as bench_pairs.extract returns
+        for prefix in ("icelab-parent-", "icelab-change-"):
+            trees.append(Path(tempfile.mkdtemp(prefix=prefix, dir=tmp_path)))
+            shutil.copytree(module.ROOT / "src", trees[-1] / "src")
+        return trees[-2], trees[-1], "0" * 40
 
     monkeypatch.setattr(module, "extract", extract)
     module.trees = trees
@@ -35,8 +36,8 @@ def test_equal_trees_print_one_digest_and_exit_zero(report_diff, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 2
     assert len({line.split("sha256 ")[1].split()[0] for line in lines}) == 1
-    (tree,) = report_diff.trees
-    assert not tree.exists()
+    assert len(report_diff.trees) == 2
+    assert not any(tree.exists() for tree in report_diff.trees)
 
 
 def _entry(check_id, lhs, status="pass", discrepancy="0"):
@@ -47,7 +48,7 @@ def _entry(check_id, lhs, status="pass", discrepancy="0"):
 def test_differing_entries_are_printed_by_check_and_field(report_diff, monkeypatch,
                                                           capsys):
     def reports(tree, icelab_args):
-        changed = tree == report_diff.ROOT
+        changed = tree == report_diff.trees[1]
         return [_entry("boundary.sum_rule", "1"),
                 _entry("boundary.single_site", "2" if changed else "1",
                        "fail" if changed else "pass")]
@@ -59,7 +60,7 @@ def test_differing_entries_are_printed_by_check_and_field(report_diff, monkeypat
                          '  worst discrepancy: 0 -> 0',
                          '  [1] status: "pass" -> "fail"',
                          '  [1] lhs: "1" -> "2"']
-    assert not report_diff.trees[0].exists()
+    assert not any(tree.exists() for tree in report_diff.trees)
 
 
 def test_each_check_shows_the_worst_discrepancy_of_its_differing_entries(
@@ -69,7 +70,7 @@ def test_each_check_shows_the_worst_discrepancy_of_its_differing_entries(
               ("3", "ValueError: boom")]
 
     def reports(tree, icelab_args):
-        rows = change if tree == report_diff.ROOT else base
+        rows = change if tree == report_diff.trees[1] else base
         ids = ["efp.double_integral_vs_enum"] * 3 + ["rcp.top_integral_vs_enum"]
         return [_entry(i, lhs, discrepancy=d) for i, (lhs, d) in zip(ids, rows)]
 
@@ -86,7 +87,7 @@ def test_each_check_shows_the_worst_discrepancy_of_its_differing_entries(
 
 def test_a_changed_entry_count_is_a_difference(report_diff, monkeypatch, capsys):
     def reports(tree, icelab_args):
-        return [_entry("boundary.sum_rule", "1")] * (1 if tree == report_diff.ROOT else 2)
+        return [_entry("boundary.sum_rule", "1")] * (1 if tree == report_diff.trees[1] else 2)
 
     monkeypatch.setattr(report_diff, "reports", reports)
     assert report_diff.main(ARGS) == 1
@@ -100,4 +101,4 @@ def test_the_parent_tree_is_removed_when_its_run_fails(report_diff, monkeypatch)
     monkeypatch.setattr(report_diff, "reports", reports)
     with pytest.raises(SystemExit):
         report_diff.main(ARGS)
-    assert not report_diff.trees[0].exists()
+    assert not any(tree.exists() for tree in report_diff.trees)

@@ -2,9 +2,10 @@
 
     python3 tools/report_diff.py [--base REV] -- ICELAB_ARGS
 
-The parent tree is the committed tree of ``--base`` (default ``HEAD``),
+The parent tree is the committed tree of ``--base`` (default ``HEAD``) and
+the change is a copy of the working tree this script sits in, both
 extracted as ``tools/bench_pairs.py`` does and removed however the script
-ends; the change is the working tree this script sits in.  Each tree runs
+ends.  Each tree runs
 ``cli.run(cli.parse_config(ICELAB_ARGS))`` in its own interpreter.  The
 script prints each side's report sha256 (of the report array dumped with
 sorted keys and an indent of 2, as the tests and the benchmark hash it),
@@ -100,12 +101,13 @@ def main(argv=None) -> int:
     parser.add_argument("icelab_args", nargs="*", help="arguments of icelab, after --")
     ns = parser.parse_args(argv)
 
-    parent, base_rev = extract(ns.base)
+    parent, change_tree, base_rev = extract(ns.base)
     try:
         base = reports(parent, ns.icelab_args)
+        change = reports(change_tree, ns.icelab_args)
     finally:
         shutil.rmtree(parent, ignore_errors=True)
-    change = reports(ROOT, ns.icelab_args)
+        shutil.rmtree(change_tree, ignore_errors=True)
     print(f"base   {base_rev[:12]}  sha256 {digest(base)}  ({len(base)} reports)")
     print(f"change working tree   sha256 {digest(change)}  ({len(change)} reports)")
     lines = differences(base, change)
